@@ -8,7 +8,6 @@ from .geom import (
     CircleFit,
     Isometry,
     Tolerance,
-    apply_isometry,
     best_fit_isometry,
     circumradius_from_sides,
     diameter_of,
@@ -60,7 +59,6 @@ __all__ = [
     "TwistedSquaresReport",
     "VertexPermutation",
     "analyze",
-    "apply_isometry",
     "assemble_congruence",
     "best_fit_isometry",
     "boundary_decomposition",

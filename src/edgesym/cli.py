@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import EdgesymError
 from .gallery import gallery
@@ -35,6 +34,8 @@ EXIT_VIOLATION = 3
 
 
 def _tolerance(args) -> Tolerance:
+    if not args.tol > 0:
+        raise EdgesymError(f"--tol must be a positive scale factor, got {args.tol}")
     return DEFAULT_TOLERANCE.scaled(args.tol)
 
 
@@ -43,7 +44,9 @@ def _instances(args, tol):
     if getattr(args, "gallery", None):
         yield f"gallery:{args.gallery}", gallery(args.gallery)
         return
-    if getattr(args, "random", None):
+    if getattr(args, "random", None) is not None:
+        if args.random < 4:
+            raise EdgesymError(f"--random needs N >= 4, got {args.random}")
         seed = args.seed if args.seed is not None else 0
         yield f"random:{args.random}:{seed}", random_inscribed_polytope(args.random, seed)
         return
@@ -112,15 +115,9 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     tol = _tolerance(args)
     pairs = list(_instances(args, tol))
-    if args.jobs > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            verdicts = list(
-                pool.map(lambda p: _verify_one(p[0], p[1], tol), pairs)
-            )
-    else:
-        verdicts = [_verify_one(source, inst, tol) for source, inst in pairs]
     code = EXIT_OK
-    for (source, instance), verdict in zip(pairs, verdicts):
+    for source, instance in pairs:
+        verdict = _verify_one(source, instance, tol)
         _print_report(source, instance, verdict, tol, args.format)
         if verdict.classification == CLASS_VIOLATION:
             code = EXIT_VIOLATION
@@ -177,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--random", type=int, metavar="N",
                           help="random polytope inscribed in the unit sphere")
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="parallel workers for batch verification")
     p_verify.set_defaults(func=cmd_verify)
 
     p_rec = sub.add_parser("reconstruct",

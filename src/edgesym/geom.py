@@ -32,7 +32,6 @@ __all__ = [
     "CircleFit",
     "UnderdeterminedFitWarning",
     "CoarseToleranceWarning",
-    "apply_isometry",
     "best_fit_isometry",
     "circumradius_from_sides",
     "diameter_of",
@@ -164,11 +163,6 @@ class Isometry:
             "linear": [[float(x) for x in row] for row in self.linear],
             "translation": [float(x) for x in self.translation],
         }
-
-
-def apply_isometry(iso: Isometry, p) -> np.ndarray:
-    """linear @ p + translation for a single d-vector (or an (n, d) batch)."""
-    return iso.apply(p)
 
 
 def best_fit_isometry(src, dst, allow_reflection: bool = True,

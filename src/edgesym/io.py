@@ -46,8 +46,6 @@ def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, %.17g floats, no whitespace drift."""
     if obj is None or obj is True or obj is False:
         return json.dumps(obj)
-    if isinstance(obj, bool):  # pragma: no cover - caught above
-        return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):

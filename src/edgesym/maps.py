@@ -3,20 +3,21 @@
 A map is stored as its family of face cycles plus, for plane graphs, the
 distinguished outer face. Everything else is derived: the edge set, vertex
 degrees, and the flag graph. A flag is a mutually incident
-(vertex, edge, face) triple; the involutions s0/s1/s2 switch the vertex,
-the edge, and the face coordinate respectively. A map isomorphism is
-forced by the image of a single flag, which is what `propagate_flag_map`
-exploits.
+(vertex, edge, face) triple, numbered 0..4E-1; the involutions s0/s1/s2
+are int arrays that switch the vertex, the edge, and the face coordinate
+respectively. A map isomorphism is forced by the image of a single flag,
+which is what `propagate_flag_map` exploits.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 __all__ = [
     "CombinatorialMap",
     "Edge",
-    "Flag",
     "canonical_cycle",
     "combinatorially_equivalent",
     "cycle_key",
@@ -26,7 +27,6 @@ __all__ = [
 ]
 
 Edge = tuple[str, str]
-Flag = tuple[str, Edge, int]
 
 
 def edge_key(u: str, v: str) -> Edge:
@@ -94,37 +94,35 @@ class CombinatorialMap:
                 f"F={len(self.faces)}"
             )
 
-        degree: dict[str, int] = {v: 0 for v in self.vertices}
-        for u, v in self.edges:
-            degree[u] += 1
-            degree[v] += 1
-        self.degree: dict[str, int] = degree
-
-        s0: dict[Flag, Flag] = {}
-        s1: dict[Flag, Flag] = {}
-        s2: dict[Flag, Flag] = {}
-        for fi, cyc in enumerate(self.faces):
-            k = len(cyc)
-            for t in range(k):
-                u, v = cyc[t], cyc[(t + 1) % k]
-                e = edge_key(u, v)
-                s0[(u, e, fi)] = (v, e, fi)
-                s0[(v, e, fi)] = (u, e, fi)
-                e_prev = edge_key(cyc[t - 1], cyc[t])
-                s1[(u, e_prev, fi)] = (u, e, fi)
-                s1[(u, e, fi)] = (u, e_prev, fi)
-        for e, (fa, fb) in edge_faces.items():
-            for u in e:
-                s2[(u, e, fa)] = (u, e, fb)
-                s2[(u, e, fb)] = (u, e, fa)
-        self.flags: tuple[Flag, ...] = tuple(sorted(s0))
-        if not (set(s1) == set(s0) == set(s2)):
-            raise ValueError("flag involutions do not cover the same flag set")
-        for s in (s0, s1, s2):
-            for fl, im in s.items():
-                if fl == im or s[im] != fl:
-                    raise ValueError(f"invalid involution near flag {fl}")
+        index = {v: i for i, v in enumerate(self.vertices)}
+        # Flags 2j and 2j+1 lie on the j-th edge of the face cycles read in
+        # face order, cyc[t]-cyc[t+1]: flag 2j at vertex cyc[t], 2j+1 at cyc[t+1].
+        sizes = np.array([len(cyc) for cyc in self.faces])
+        n_flags = 4 * len(self.edges)
+        flag_vertex = np.empty(n_flags, dtype=np.intp)
+        flag_vertex[0::2] = [index[v] for cyc in self.faces for v in cyc]
+        flag_vertex[1::2] = [index[v] for cyc in self.faces for v in cyc[1:] + cyc[:1]]
+        s0 = np.arange(n_flags) ^ 1
+        # s1 joins the flag at cyc[t] to the flag at cyc[t] on the previous edge.
+        at_tail = np.arange(0, n_flags, 2)
+        prev = at_tail - 1
+        face_start = 2 * np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        prev[face_start // 2] = face_start + 2 * sizes - 1
+        s1 = np.empty(n_flags, dtype=np.intp)
+        s1[at_tail], s1[prev] = prev, at_tail
+        # s2 joins the two flags on the same vertex and edge, one per face of
+        # the edge; sorted by (edge, vertex) they are neighbours.
+        lo = np.minimum(flag_vertex, flag_vertex[s0])
+        hi = np.maximum(flag_vertex, flag_vertex[s0])
+        by_edge = np.lexsort((flag_vertex, hi, lo))
+        s2 = np.empty(n_flags, dtype=np.intp)
+        s2[by_edge[0::2]], s2[by_edge[1::2]] = by_edge[1::2], by_edge[0::2]
+        self.flags = range(n_flags)
         self.s0, self.s1, self.s2 = s0, s1, s2
+        self.flag_vertex = flag_vertex
+        # each edge at a vertex carries two of its flags, one per side
+        self.degree = np.bincount(flag_vertex) // 2
+        self.flag_face = np.repeat(np.arange(len(self.faces)), 2 * sizes)
         self._face_keys = tuple(cycle_key(f) for f in self.faces)
 
     @property
@@ -158,45 +156,52 @@ class CombinatorialMap:
 
 
 def propagate_flag_map(src: CombinatorialMap, dst: CombinatorialMap,
-                       seed: Flag, image: Flag) -> Optional[dict[Flag, Flag]]:
+                       seed: int, image: int) -> Optional[np.ndarray]:
     """Forced extension of seed -> image across the flag graph.
 
     Every neighbor relation must be preserved, so the assignment spreads
     deterministically; a conflict means no isomorphism maps the seed flag
-    to the image flag. Returns the full flag bijection, or None.
+    to the image flag. Returns the flag bijection as an image array, or
+    None.
     """
-    if len(src.flags) != len(dst.flags):
+    n = len(src.flags)
+    if n != len(dst.flags):
         return None
-    phi: dict[Flag, Flag] = {seed: image}
+    phi = [-1] * n
+    phi[seed] = image
     stack = [seed]
-    src_inv = (src.s0, src.s1, src.s2)
-    dst_inv = (dst.s0, dst.s1, dst.s2)
+    # memoryviews read the arrays as Python ints without copying them
+    pairs = [(memoryview(sa), memoryview(sb))
+             for sa, sb in zip((src.s0, src.s1, src.s2), (dst.s0, dst.s1, dst.s2))]
     while stack:
         fl = stack.pop()
         im = phi[fl]
-        for sa, sb in zip(src_inv, dst_inv):
+        for sa, sb in pairs:
             fn, gn = sa[fl], sb[im]
-            cur = phi.get(fn)
-            if cur is None:
+            cur = phi[fn]
+            if cur < 0:
                 phi[fn] = gn
                 stack.append(fn)
             elif cur != gn:
                 return None
-    if len(phi) != len(src.flags) or len(set(phi.values())) != len(phi):
+    out = np.array(phi)
+    if out.min() < 0 or np.bincount(out, minlength=n).max() != 1:
         return None
-    return phi
+    return out
 
 
-def induced_vertex_and_face_maps(phi: dict[Flag, Flag]):
-    """Vertex and face maps induced by a flag bijection, or None if either
-    fails to be well defined."""
-    vmap: dict[str, str] = {}
-    fmap: dict[int, int] = {}
-    for (v, _e, f), (v2, _e2, f2) in phi.items():
-        if vmap.setdefault(v, v2) != v2:
-            return None
-        if fmap.setdefault(f, f2) != f2:
-            return None
+def induced_vertex_and_face_maps(src: CombinatorialMap, dst: CombinatorialMap,
+                                 phi: np.ndarray):
+    """Vertex and face image arrays induced by a flag bijection, or None if
+    either fails to be well defined."""
+    vmap = np.empty(len(src.vertices), dtype=np.intp)
+    fmap = np.empty(len(src.faces), dtype=np.intp)
+    vmap[src.flag_vertex] = dst.flag_vertex[phi]
+    fmap[src.flag_face] = dst.flag_face[phi]
+    if (vmap[src.flag_vertex] != dst.flag_vertex[phi]).any():
+        return None
+    if (fmap[src.flag_face] != dst.flag_face[phi]).any():
+        return None
     return vmap, fmap
 
 
@@ -209,25 +214,22 @@ def combinatorially_equivalent(a: CombinatorialMap, b: CombinatorialMap) -> bool
     """
     if a.is_graph != b.is_graph:
         raise ValueError("cannot compare a polytope map with a plane-graph map")
-    if set(a.vertices) != set(b.vertices) or a.edges != b.edges:
+    if a.vertices != b.vertices or a.edges != b.edges:
         return False
     if sorted(a.face_keys()) != sorted(b.face_keys()):
         return False
-    if a.is_graph:
-        seed = next(fl for fl in a.flags if fl[2] != a.outer_face)
-    else:
-        seed = a.flags[0]
-    v, e, _f = seed
-    candidates = [fl for fl in b.flags if fl[0] == v and fl[1] == e]
-    for cand in candidates:
+    seed = int(np.argmax(a.flag_face != a.outer_face)) if a.is_graph else 0
+    v, w = a.flag_vertex[seed], a.flag_vertex[a.s0[seed]]
+    candidates = np.flatnonzero((b.flag_vertex == v) & (b.flag_vertex[b.s0] == w))
+    for cand in candidates.tolist():
         phi = propagate_flag_map(a, b, seed, cand)
         if phi is None:
             continue
-        ind = induced_vertex_and_face_maps(phi)
+        ind = induced_vertex_and_face_maps(a, b, phi)
         if ind is None:
             continue
         vmap, fmap = ind
-        if any(img != vv for vv, img in vmap.items()):
+        if (vmap != np.arange(len(vmap))).any():
             continue
         if a.is_graph and fmap[a.outer_face] != b.outer_face:
             continue

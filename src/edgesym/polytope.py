@@ -22,12 +22,11 @@ from .errors import (
     NotFullDimensional,
 )
 from .geom import DEFAULT_TOLERANCE, Isometry, Tolerance, best_fit_isometry, diameter_of
-from .maps import CombinatorialMap, combinatorially_equivalent  # noqa: F401  (re-export)
+from .maps import CombinatorialMap
 
 __all__ = [
     "IndexedPolytope",
     "build_polytope",
-    "combinatorially_equivalent",
     "congruent",
     "face_map",
 ]

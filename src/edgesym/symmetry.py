@@ -23,7 +23,6 @@ from .geom import (
 from .maps import (
     CombinatorialMap,
     cycle_key,
-    edge_key,
     induced_vertex_and_face_maps,
     propagate_flag_map,
 )
@@ -40,81 +39,74 @@ __all__ = [
 
 
 class VertexPermutation:
-    """A bijection of vertex index labels."""
+    """A bijection of vertex index labels, held as the image index of each
+    label in sorted label order."""
 
-    __slots__ = ("_map", "_labels", "_word")
+    __slots__ = ("_labels", "_image")
 
     def __init__(self, mapping):
         m = {str(k): str(v) for k, v in dict(mapping).items()}
-        if set(m) != set(m.values()):
+        labels = tuple(sorted(m))
+        if set(m.values()) != set(labels):
             raise ValueError("mapping is not a bijection on its label set")
-        self._map = m
-        self._labels = tuple(sorted(m))
-        self._word = tuple(m[l] for l in self._labels)
+        self._labels = labels
+        self._image = np.searchsorted(np.array(labels), [m[l] for l in labels])
+
+    @classmethod
+    def _from_image(cls, labels: tuple[str, ...], image: np.ndarray) -> "VertexPermutation":
+        perm = cls.__new__(cls)
+        perm._labels = labels
+        perm._image = image
+        return perm
 
     @classmethod
     def identity(cls, labels) -> "VertexPermutation":
-        return cls({l: l for l in labels})
-
-    @property
-    def mapping(self) -> dict[str, str]:
-        return dict(self._map)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
+        labels = tuple(sorted(str(l) for l in labels))
+        return cls._from_image(labels, np.arange(len(labels)))
 
     @property
     def word(self) -> tuple[str, ...]:
         """Images of the sorted labels; the canonical sort key."""
-        return self._word
+        return tuple(self._labels[i] for i in self._image.tolist())
 
     def __call__(self, label) -> str:
-        return self._map[str(label)]
+        return self._labels[self._image[self._labels.index(str(label))]]
 
     def is_identity(self) -> bool:
-        return self._word == self._labels
+        return bool((self._image == np.arange(len(self._image))).all())
 
     def compose(self, other: "VertexPermutation") -> "VertexPermutation":
         """self after other: x -> self(other(x))."""
         if self._labels != other._labels:
             raise ValueError("permutations act on different label sets")
-        return VertexPermutation({l: self._map[other._map[l]] for l in self._labels})
+        return VertexPermutation._from_image(self._labels, self._image[other._image])
 
     def inverse(self) -> "VertexPermutation":
-        return VertexPermutation({v: k for k, v in self._map.items()})
-
-    def cycles(self) -> list[tuple[str, ...]]:
-        """Nontrivial cycles, each starting at its smallest label, sorted."""
-        seen: set[str] = set()
-        out = []
-        for start in self._labels:
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            cur = self._map[start]
-            while cur != start:
-                cyc.append(cur)
-                seen.add(cur)
-                cur = self._map[cur]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
+        return VertexPermutation._from_image(self._labels, np.argsort(self._image))
 
     def cycle_notation(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(c) + ")" for c in cycs)
+        """Nontrivial cycles, each from its smallest label, in label order;
+        "()" for the identity."""
+        image = self._image.tolist()
+        seen: set[int] = set()
+        out = ""
+        for start in range(len(image)):
+            if start in seen or image[start] == start:
+                continue
+            cyc = [start]
+            while image[cyc[-1]] != start:
+                cyc.append(image[cyc[-1]])
+            seen.update(cyc)
+            out += "(" + " ".join(self._labels[i] for i in cyc) + ")"
+        return out or "()"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VertexPermutation):
             return NotImplemented
-        return self._labels == other._labels and self._word == other._word
+        return self._labels == other._labels and bool((self._image == other._image).all())
 
     def __hash__(self) -> int:
-        return hash((self._labels, self._word))
+        return hash((self._labels, self._image.tobytes()))
 
     def __repr__(self) -> str:
         return f"VertexPermutation({self.cycle_notation()})"
@@ -130,77 +122,85 @@ def enumerate_symmetries(M: CombinatorialMap) -> list[VertexPermutation]:
     automorphisms must fix the outer face. Output is sorted by
     permutation word.
     """
-    deg = M.degree
-
-    def signature(fl):
-        v, _e, f = fl
-        return (deg[v], len(M.faces[f]))
-
-    if M.is_graph:
-        pool = [fl for fl in M.flags if fl[2] != M.outer_face]
-    else:
-        pool = list(M.flags)
-    seed = pool[0]
-    sig = signature(seed)
-    found: dict[tuple[str, ...], VertexPermutation] = {}
-    for cand in pool:
-        if signature(cand) != sig:
-            continue
+    vertex_degree = M.degree[M.flag_vertex]
+    face_size = np.array([len(f) for f in M.faces])[M.flag_face]
+    pool = np.flatnonzero(M.flag_face != M.outer_face) if M.is_graph else np.arange(len(M.flags))
+    seed = int(pool[0])
+    same_signature = ((vertex_degree[pool] == vertex_degree[seed])
+                      & (face_size[pool] == face_size[seed]))
+    found: dict[tuple[int, ...], np.ndarray] = {}
+    for cand in pool[same_signature].tolist():
         phi = propagate_flag_map(M, M, seed, cand)
         if phi is None:
             continue
-        ind = induced_vertex_and_face_maps(phi)
+        ind = induced_vertex_and_face_maps(M, M, phi)
         if ind is None:
             continue
         vmap, fmap = ind
         if M.is_graph and fmap[M.outer_face] != M.outer_face:
             continue
-        perm = VertexPermutation(vmap)
-        found.setdefault(perm.word, perm)
-    return [found[w] for w in sorted(found)]
+        found.setdefault(tuple(vmap.tolist()), vmap)
+    # index order is label order, so sorting images sorts words
+    return [VertexPermutation._from_image(M.vertices, found[key]) for key in sorted(found)]
 
 
-def _coords_array(M: CombinatorialMap, coords, order) -> np.ndarray:
-    return np.array([np.asarray(coords[l], dtype=float) for l in order])
+class _Instance:
+    """Point array, diameter and edge lengths of one instance, indexed like
+    ``M.vertices``; every symmetry of the instance is classified against it."""
+
+    def __init__(self, M: CombinatorialMap, coords, tol: Tolerance):
+        self.M, self.tol = M, tol
+        self.points = np.array([np.asarray(coords[l], dtype=float) for l in M.vertices])
+        self.diameter = diameter_of(self.points)
+        index = {l: i for i, l in enumerate(M.vertices)}
+        self.ends = np.array([[index[u], index[v]] for u, v in M.edges])
+        u, v = self.ends.T
+        self.lengths = np.linalg.norm(self.points[u] - self.points[v], axis=1)
+        self.edge_codes = u * len(M.vertices) + v
+        self.faces = [[index[l] for l in face] for face in M.faces]
+
+    def _image(self, sigma: VertexPermutation) -> np.ndarray:
+        if sigma._labels != self.M.vertices:
+            raise ValueError("permutation and map act on different vertex labels")
+        return sigma._image
+
+    def edge_preserving(self, sigma: VertexPermutation) -> bool:
+        a, b = self._image(sigma)[self.ends.T]
+        is_edge = np.isin(np.minimum(a, b) * len(self.M.vertices) + np.maximum(a, b),
+                          self.edge_codes)
+        image_lengths = np.linalg.norm(self.points[a] - self.points[b], axis=1)
+        eps = self.tol.length_eps(self.diameter)
+        bad = ~is_edge | (np.abs(self.lengths - image_lengths) > eps)
+        if not bad.any():
+            return True
+        first = int(np.argmax(bad))
+        if not is_edge[first]:
+            u, v = self.M.edges[first]
+            iu, iv = self.M.vertices[a[first]], self.M.vertices[b[first]]
+            raise PermutationNotASymmetry(f"edge {{{u},{v}}} maps to non-edge {{{iu},{iv}}}")
+        return False
+
+    def realize(self, sigma: VertexPermutation) -> tuple[Isometry, float, bool]:
+        """Best-fit isometry, its RMS residual, and whether the residual is
+        within ``fit_eps`` times the diameter."""
+        iso, rmsd = best_fit_isometry(self.points, self.points[self._image(sigma)],
+                                      allow_reflection=True, tol=self.tol)
+        return iso, rmsd, rmsd <= self.tol.fit_threshold(self.diameter)
 
 
 def is_edge_preserving(M: CombinatorialMap, coords, sigma: VertexPermutation,
                        tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True iff sigma maps every edge to an edge of equal length
     (absolute-plus-relative threshold)."""
-    pts = {l: np.asarray(coords[l], dtype=float) for l in M.vertices}
-    eps = tol.length_eps(diameter_of(list(pts.values())))
-    edge_set = set(M.edges)
-    for u, v in M.edges:
-        iu, iv = sigma(u), sigma(v)
-        if edge_key(iu, iv) not in edge_set:
-            raise PermutationNotASymmetry(
-                f"edge {{{u},{v}}} maps to non-edge {{{iu},{iv}}}"
-            )
-        d_src = float(np.linalg.norm(pts[u] - pts[v]))
-        d_dst = float(np.linalg.norm(pts[iu] - pts[iv]))
-        if abs(d_src - d_dst) > eps:
-            return False
-    return True
-
-
-def _fit_permutation(M: CombinatorialMap, coords, sigma: VertexPermutation,
-                     tol: Tolerance) -> tuple[Isometry, float]:
-    order = list(M.vertices)
-    src = _coords_array(M, coords, order)
-    dst = _coords_array(M, coords, [sigma(l) for l in order])
-    return best_fit_isometry(src, dst, allow_reflection=True, tol=tol)
+    return _Instance(M, coords, tol).edge_preserving(sigma)
 
 
 def realize(M: CombinatorialMap, coords, sigma: VertexPermutation,
             tol: Tolerance = DEFAULT_TOLERANCE) -> Optional[tuple[Isometry, float]]:
     """The isometry taking each vertex to the position of its sigma-image,
     if one fits within ``fit_eps`` times the diameter; None otherwise."""
-    iso, rmsd = _fit_permutation(M, coords, sigma, tol)
-    diam = diameter_of(_coords_array(M, coords, M.vertices))
-    if rmsd <= tol.fit_threshold(diam):
-        return iso, rmsd
-    return None
+    iso, rmsd, realized = _Instance(M, coords, tol).realize(sigma)
+    return (iso, rmsd) if realized else None
 
 
 @dataclass(frozen=True)
@@ -258,13 +258,14 @@ class SymmetryReport:
 
 
 def _group_closed(perms: list[VertexPermutation]) -> bool:
-    words = {p.word for p in perms}
-    for a in perms:
-        if a.inverse().word not in words:
+    images = np.array([p._image for p in perms])
+    members = {row.tobytes() for row in images}
+    for a in images:
+        if np.argsort(a).tobytes() not in members:
             return False
-        for b in perms:
-            if a.compose(b).word not in words:
-                return False
+        # row j is a after perms[j]
+        if any(row.tobytes() not in members for row in a[images]):
+            return False
     return True
 
 
@@ -272,20 +273,16 @@ def analyze(M: CombinatorialMap, coords, tol: Tolerance = DEFAULT_TOLERANCE,
             instance_id: str = "") -> SymmetryReport:
     """Enumerate, filter, and attempt to realize every combinatorial
     symmetry; records come back sorted by permutation word."""
-    pts = _coords_array(M, coords, M.vertices)
-    diam = diameter_of(pts)
-    tol.warn_if_coarse(diam)
-    threshold = tol.fit_threshold(diam)
+    inst = _Instance(M, coords, tol)
+    tol.warn_if_coarse(inst.diameter)
     perms = enumerate_symmetries(M)
     face_index = {key: i for i, key in enumerate(M.face_keys())}
     records = []
     for sigma in perms:
-        face_image = tuple(
-            face_index[cycle_key([sigma(v) for v in face])] for face in M.faces
-        )
-        edge_ok = is_edge_preserving(M, coords, sigma, tol)
-        iso, rmsd = _fit_permutation(M, coords, sigma, tol)
-        realized = rmsd <= threshold
+        word = sigma.word
+        face_image = tuple(face_index[cycle_key([word[i] for i in f])] for f in inst.faces)
+        edge_ok = inst.edge_preserving(sigma)
+        iso, rmsd, realized = inst.realize(sigma)
         if realized and not edge_ok:
             raise AssertionError(
                 f"symmetry {sigma.cycle_notation()} realized but not edge-preserving"

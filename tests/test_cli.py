@@ -79,18 +79,27 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["payload"]["classification"] == "theorem-applies-and-holds"
 
-    def test_batch_order_with_jobs(self, capsys, tmp_path):
+    def test_batch_order(self, capsys, tmp_path):
         p1 = tmp_path / "a.off"
         p1.write_text(write_off(gallery("tetrahedron")))
         p2 = tmp_path / "b.json"
         p2.write_text(write_graph_json(gallery("parallelogram")))
-        code, seq, _ = run(capsys, "verify", str(p1), str(p2))
-        code2, par, _ = run(capsys, "verify", str(p1), str(p2), "--jobs", "4")
-        assert code == code2 == 0
-        assert seq == par
-        lines = [json.loads(l) for l in seq.splitlines()]
+        code, out, _ = run(capsys, "verify", str(p1), str(p2))
+        assert code == 0
+        lines = [json.loads(l) for l in out.splitlines()]
         assert lines[0]["instance"]["source"].endswith("a.off")
         assert lines[1]["instance"]["source"].endswith("b.json")
+
+    @pytest.mark.parametrize("argv", [
+        ("--gallery", "cube", "--tol", "0"),
+        ("--gallery", "cube", "--tol", "-1"),
+        ("--random", "3"),
+    ])
+    def test_bad_option_value_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_tol_scaling_echoed(self, capsys):
         code, out, _ = run(capsys, "verify", "--gallery", "cube", "--tol", "10")

@@ -17,7 +17,6 @@ from edgesym.geom import (
     Isometry,
     Tolerance,
     UnderdeterminedFitWarning,
-    apply_isometry,
     best_fit_isometry,
     circumradius_from_sides,
     diameter_of,
@@ -126,19 +125,19 @@ class TestBestFitIsometry:
 class TestApplyIsometry:
     def test_identity(self):
         iso = Isometry.identity(3)
-        assert np.allclose(apply_isometry(iso, [1, 2, 3]), [1, 2, 3])
+        assert np.allclose(iso.apply([1, 2, 3]), [1, 2, 3])
 
     def test_half_turn_2d(self):
         iso = Isometry(rotation2(math.pi), [0.0, 0.0])
-        assert np.allclose(apply_isometry(iso, [1, 0]), [-1, 0], atol=1e-15)
+        assert np.allclose(iso.apply([1, 0]), [-1, 0], atol=1e-15)
 
     def test_translation(self):
         iso = Isometry(np.eye(3), [0, 0, 5.0])
-        assert np.allclose(apply_isometry(iso, [1, 1, 1]), [1, 1, 6])
+        assert np.allclose(iso.apply([1, 1, 1]), [1, 1, 6])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            apply_isometry(Isometry.identity(2), [1, 2, 3])
+            Isometry.identity(2).apply([1, 2, 3])
 
 
 class TestFitCircle:

@@ -25,8 +25,7 @@ DIGEST_FILE = pathlib.Path(__file__).with_name("golden_reports.json")
 
 def cases() -> list[tuple[str, ...]]:
     fixed = [name for name in gallery_names() if ":" not in name]
-    specs = fixed + [f"{kind}:{n}" for kind in ("prism", "antiprism")
-                              for n in range(3, 9)]
+    specs = fixed + [f"{kind}:{n}" for kind in ("prism", "antiprism") for n in range(3, 9)]
     out = []
     for fmt in ("json", "text"):
         for spec in specs:

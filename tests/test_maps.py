@@ -26,7 +26,7 @@ def test_involutions_are_fixed_point_free():
     M = CombinatorialMap(CUBE_FACES)
     for s in (M.s0, M.s1, M.s2):
         assert set(s) == set(M.flags)
-        for fl, im in s.items():
+        for fl, im in enumerate(s):
             assert fl != im
             assert s[im] == fl
 

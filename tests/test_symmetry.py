@@ -11,6 +11,7 @@ from edgesym.symmetry import (
     is_edge_preserving,
     realize,
 )
+from edgesym.verify import random_inscribed_polytope
 from oracles import brute_force_edge_preserving, brute_force_symmetries
 
 
@@ -75,6 +76,33 @@ class TestEnumeration:
                 assert a.inverse().word in ws
                 for b in perms:
                     assert a.compose(b).word in ws
+
+
+WHITNEY_CASES = (
+    ["cube", "dodecahedron", "icosahedron", "octa_tetra_glue"]
+    + [f"{kind}:{n}" for kind in ("prism", "antiprism") for n in range(3, 13)]
+    + [f"random:{n}:{seed}" for n in (12, 40, 100) for seed in (0, 1)]
+)
+
+
+@pytest.mark.parametrize("spec", WHITNEY_CASES)
+def test_graph_automorphisms_are_map_automorphisms(spec):
+    """By Whitney's theorem the edge graph of a 3-polytope has exactly the
+    map's automorphisms, so VF2 on the graph is a second oracle that
+    reaches instances far beyond the brute force."""
+    nx = pytest.importorskip("networkx")
+    if spec.startswith("random:"):
+        _, n, seed = spec.split(":")
+        P = random_inscribed_polytope(int(n), seed=int(seed))
+    else:
+        P = gallery(spec)
+    M = face_map(P)
+    G = nx.Graph(M.edges)
+    oracle = {
+        tuple(m[l] for l in M.vertices)
+        for m in nx.isomorphism.GraphMatcher(G, G).isomorphisms_iter()
+    }
+    assert words(enumerate_symmetries(M)) == oracle
 
 
 class TestEdgePreserving:

@@ -11,6 +11,7 @@ congruent faces are congruent as a whole.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .geom import (
     best_fit_isometry,
     diameter_of,
 )
-from .maps import CombinatorialMap, combinatorially_equivalent, cycle_key, edge_key
+from .maps import CombinatorialMap, Edge, combinatorially_equivalent, edge_key
 
 __all__ = [
     "ConvexPlaneGraph",
@@ -84,20 +85,19 @@ def _signed_area(poly: np.ndarray) -> float:
     return 0.5 * float((poly[:, 0] * nxt[:, 1] - poly[:, 1] * nxt[:, 0]).sum())
 
 
-def _check_crossings(coords: np.ndarray, edges: list[tuple[int, int]],
-                     names: list[str], eps: float) -> None:
-    m = len(edges)
-    if m < 2:
-        return
-    ea = np.array([e[0] for e in edges])
-    eb = np.array([e[1] for e in edges])
-    ii, jj = np.triu_indices(m, k=1)
+_PAIR_BLOCK = 1 << 16  # edge pairs tested at once; bounds the temporaries
+
+
+def _first_bad_pair(coords: np.ndarray, ea: np.ndarray, eb: np.ndarray,
+                    ii: np.ndarray, jj: np.ndarray, eps: float):
+    """The first pair (ii[k], jj[k]) of edges without a shared endpoint that
+    cross or touch, or None."""
     shared = (
         (ea[ii] == ea[jj]) | (ea[ii] == eb[jj]) | (eb[ii] == ea[jj]) | (eb[ii] == eb[jj])
     )
     ii, jj = ii[~shared], jj[~shared]
     if len(ii) == 0:
-        return
+        return None
     p1, p2 = coords[ea[ii]], coords[eb[ii]]
     q1, q2 = coords[ea[jj]], coords[eb[jj]]
 
@@ -131,12 +131,36 @@ def _check_crossings(coords: np.ndarray, edges: list[tuple[int, int]],
         | point_hits_segment(q2, p1, p2, lp)
     )
     bad = proper | touching
-    if bad.any():
-        k = int(np.argmax(bad))
-        e1, e2 = edges[int(ii[k])], edges[int(jj[k])]
-        n1 = (names[e1[0]], names[e1[1]])
-        n2 = (names[e2[0]], names[e2[1]])
-        raise EdgeCrossing(f"edges {n1} and {n2} intersect away from shared endpoints")
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    return int(ii[k]), int(jj[k])
+
+
+def _check_crossings(coords: np.ndarray, edges: list[tuple[int, int]],
+                     names: list[str], eps: float) -> None:
+    # Pairs (i, j), i < j, are tested in row-major order, in blocks of whole
+    # rows holding about _PAIR_BLOCK pairs, so the first bad pair is the
+    # first in pair order and memory stays O(E + _PAIR_BLOCK).
+    m = len(edges)
+    ea = np.array([e[0] for e in edges])
+    eb = np.array([e[1] for e in edges])
+    row_ends = np.cumsum(np.arange(m - 1, 0, -1))  # pairs in rows 0..i
+    r0 = 0
+    while r0 < m - 1:
+        done = int(row_ends[r0 - 1]) if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(row_ends, done + _PAIR_BLOCK, side="right")))
+        rows = np.arange(r0, r1)
+        counts = m - 1 - rows
+        ii = np.repeat(rows, counts)
+        jj = ii + 1 + np.arange(len(ii)) - np.repeat(np.cumsum(counts) - counts, counts)
+        pair = _first_bad_pair(coords, ea, eb, ii, jj, eps)
+        if pair is not None:
+            e1, e2 = edges[pair[0]], edges[pair[1]]
+            n1 = (names[e1[0]], names[e1[1]])
+            n2 = (names[e2[0]], names[e2[1]])
+            raise EdgeCrossing(f"edges {n1} and {n2} intersect away from shared endpoints")
+        r0 = r1
 
 
 def _trace_faces(adj: dict[str, list[str]]) -> list[list[str]]:
@@ -265,74 +289,98 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
     return ConvexPlaneGraph(vertices=dict(items), edges=tuple(sorted(edge_set)), map=cmap)
 
 
-def boundary_decomposition(G: ConvexPlaneGraph, face: int,
-                           tol: Tolerance = DEFAULT_TOLERANCE) -> list[ConvexPlaneGraph]:
+class _Regions:
+    """The faces of a validated convex plane graph with the edge set of
+    each, computed once. A region is a sorted tuple of bounded-face indices
+    of this graph; the whole graph is the region of all bounded faces, and
+    splitting along a boundary face yields regions again, each a disk
+    bounded by a simple cycle."""
+
+    def __init__(self, G: ConvexPlaneGraph):
+        self.graph = G
+        self.faces = G.map.faces
+        self.edges = [frozenset(G.map.face_edges(fi)) for fi in range(len(self.faces))]
+
+    def boundary(self, region) -> set[Edge]:
+        """Edges lying in exactly one face of the region."""
+        counts = Counter(e for fi in region for e in self.edges[fi])
+        return {e for e, c in counts.items() if c == 1}
+
+    def vertices(self, region) -> list[str]:
+        return sorted({v for fi in region for v in self.faces[fi]})
+
+    def split(self, region, face: int) -> list[tuple[tuple[int, ...], frozenset[Edge]]]:
+        """Regions and edge sets of the pieces left when `face` and its
+        boundary edges are cut from `region`, ordered by smallest face cycle."""
+        faces, edges = self.faces, self.edges
+        if not edges[face] & self.boundary(region):
+            raise FaceNotOnBoundary(f"face {faces[face]} shares no edge with the outer boundary")
+        edge_faces: dict[Edge, list[int]] = {}
+        for fi in region:
+            for e in edges[fi]:
+                edge_faces.setdefault(e, []).append(fi)
+        reached = {face}
+        components = []
+        for start in region:
+            if start in reached:
+                continue
+            reached.add(start)
+            component = [start]
+            for cur in component:  # grows while it is walked
+                for e in edges[cur]:
+                    for nb in edge_faces[e]:
+                        if nb not in reached:
+                            reached.add(nb)
+                            component.append(nb)
+            components.append(component)
+
+        pieces = []
+        for fis in sorted(components, key=lambda fs: min(faces[f] for f in fs)):
+            edge_union = frozenset().union(*(edges[fi] for fi in fis))
+            if not edge_union & edges[face]:
+                raise DecompositionError(
+                    f"decomposition piece {sorted(fis)} shares no edge with face "
+                    f"{faces[face]}; such graphs are outside the supported class"
+                )
+            pieces.append((tuple(sorted(fis)), edge_union))
+        for i in range(len(pieces)):
+            for j in range(i + 1, len(pieces)):
+                if pieces[i][1] & pieces[j][1]:
+                    raise DecompositionError("decomposition pieces share an edge")
+        return pieces
+
+
+def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGraph]:
     """Split G along a bounded face touching the outer boundary.
 
     Deletes the edges the face shares with the outer face and returns the
     pieces given by the connected components of the dual graph without the
     chosen face and the outer face. Pieces may share vertices but never
-    edges, and each must share an edge with the removed face.
+    edges, and each must share an edge with the removed face. The pieces
+    are derived from the validated G, not rebuilt and validated again:
+    each keeps G's points in sorted label order, and its map holds its
+    faces of G plus the outer walk around them.
     """
     M = G.map
     if M.outer_face is None or not 0 <= face < len(M.faces) or face == M.outer_face:
         raise ValueError(f"face {face} is not a bounded face of the graph")
-    outer_edges = M.face_edges(M.outer_face)
-    face_edges = M.face_edges(face)
-    removed = face_edges & outer_edges
-    if not removed:
-        raise FaceNotOnBoundary(
-            f"face {M.faces[face]} shares no edge with the outer boundary"
-        )
-
-    edge_faces: dict[tuple[str, str], list[int]] = {}
-    for fi in range(len(M.faces)):
-        for e in M.face_edges(fi):
-            edge_faces.setdefault(e, []).append(fi)
-
-    kept = [fi for fi in range(len(M.faces)) if fi not in (face, M.outer_face)]
-    component_of: dict[int, int] = {}
-    comp_id = 0
-    for start in kept:
-        if start in component_of:
-            continue
-        stack = [start]
-        component_of[start] = comp_id
-        while stack:
-            cur = stack.pop()
-            for e in M.face_edges(cur):
-                for nb in edge_faces[e]:
-                    if nb in (face, M.outer_face) or nb in component_of:
-                        continue
-                    component_of[nb] = comp_id
-                    stack.append(nb)
-        comp_id += 1
-
-    components: dict[int, list[int]] = {}
-    for fi, c in component_of.items():
-        components.setdefault(c, []).append(fi)
-
+    regions = _Regions(G)
     pieces = []
-    piece_edge_sets = []
-    for fis in sorted(components.values(), key=lambda fs: min(M.faces[f] for f in fs)):
-        edge_union: set[tuple[str, str]] = set()
-        for fi in fis:
-            edge_union |= M.face_edges(fi)
-        if not (edge_union & face_edges):
-            raise DecompositionError(
-                f"decomposition piece {sorted(fis)} shares no edge with face "
-                f"{M.faces[face]}; such graphs are outside the supported class"
-            )
-        vset = sorted({v for fi in fis for v in M.faces[fi]})
-        piece = build_plane_graph(
-            [(l, G.vertices[l]) for l in vset], sorted(edge_union), tol
-        )
-        pieces.append(piece)
-        piece_edge_sets.append(edge_union)
-    for i in range(len(piece_edge_sets)):
-        for j in range(i + 1, len(piece_edge_sets)):
-            if piece_edge_sets[i] & piece_edge_sets[j]:
-                raise DecompositionError("decomposition pieces share an edge")
+    for region, edges in regions.split(G.bounded_faces(), face):
+        cycles = [M.faces[fi] for fi in region]
+        boundary = regions.boundary(region)
+        # bounded faces run counterclockwise, so the clockwise outer walk
+        # reads each boundary edge backwards
+        back = {b: a for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])
+                if edge_key(a, b) in boundary}
+        walk = [min(back)]
+        while len(walk) < len(back):
+            walk.append(back[walk[-1]])
+        pieces.append(ConvexPlaneGraph(
+            vertices={l: G.vertices[l] for l in regions.vertices(region)},
+            edges=tuple(sorted(edges)),
+            map=CombinatorialMap(cycles + [walk], outer_face=len(cycles)),
+        ))
     return pieces
 
 
@@ -343,40 +391,39 @@ def _fit_labels(g: ConvexPlaneGraph, h: ConvexPlaneGraph, labels,
     return best_fit_isometry(src, dst, allow_reflection=True, tol=tol)
 
 
-def _assemble(g: ConvexPlaneGraph, h: ConvexPlaneGraph, tol: Tolerance,
+def _assemble(g: _Regions, h: _Regions, rg, rh, tol: Tolerance,
               threshold: float) -> Isometry | None:
-    bounded = g.bounded_faces()
-    if len(bounded) == 1:
-        iso, rmsd = _fit_labels(g, h, sorted(g.vertices), tol)
+    # rg and rh are regions of g and h with the same edges
+    G, H = g.graph, h.graph
+    if len(rg) == 1:
+        iso, rmsd = _fit_labels(G, H, g.vertices(rg), tol)
         return iso if rmsd <= threshold else None
 
-    outer_edges = g.map.face_edges(g.map.outer_face)
-    candidates = [fi for fi in bounded if g.map.face_edges(fi) & outer_edges]
-    fg = min(candidates, key=lambda fi: g.map.faces[fi])
-    fg_key = cycle_key(g.map.faces[fg])
-    fh = next(
-        (fi for fi in h.bounded_faces() if cycle_key(h.map.faces[fi]) == fg_key), None
-    )
+    boundary = g.boundary(rg)
+    candidates = [fi for fi in rg if g.edges[fi] & boundary]
+    fg = min(candidates, key=lambda fi: g.faces[fi])
+    fg_key = G.map.face_keys()[fg]
+    fh = next((fi for fi in rh if H.map.face_keys()[fi] == fg_key), None)
     if fh is None:
         return None
 
-    rho, rmsd = _fit_labels(g, h, g.map.faces[fg], tol)
+    rho, rmsd = _fit_labels(G, H, g.faces[fg], tol)
     if rmsd > threshold:
         return None
 
-    pieces_g = boundary_decomposition(g, fg, tol)
-    pieces_h = boundary_decomposition(h, fh, tol)
-    by_edges = {frozenset(p.edges): p for p in pieces_h}
+    pieces_g = g.split(rg, fg)
+    pieces_h = h.split(rh, fh)
+    by_edges = {edges: region for region, edges in pieces_h}
     if len(pieces_g) != len(pieces_h):
         return None
-    for gp in pieces_g:
-        hp = by_edges.get(frozenset(gp.edges))
-        if hp is None:
+    for region, edges in pieces_g:
+        region_h = by_edges.get(edges)
+        if region_h is None:
             return None
-        sub = _assemble(gp, hp, tol, threshold)
+        sub = _assemble(g, h, region, region_h, tol, threshold)
         if sub is None:
             return None
-        pts = gp.point_array(sorted(gp.vertices))
+        pts = G.point_array(g.vertices(region))
         gap = np.linalg.norm(rho.apply(pts) - sub.apply(pts), axis=1).max()
         if gap > threshold:
             return None
@@ -392,8 +439,9 @@ def assemble_congruence(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
     boundary face is aligned to its partner, the graphs are decomposed
     along it, each piece is assembled recursively, and every piece's
     isometry must agree with the face alignment on the piece's vertices.
-    The returned isometry is cross-checked against the direct whole-graph
-    fit.
+    The graphs are validated once, here; the pieces are face regions of G
+    and H, so no level rebuilds a graph. The returned isometry is
+    cross-checked against the direct whole-graph fit.
     """
     if not combinatorially_equivalent(G.map, H.map):
         raise NotCombinatoriallyEquivalent(
@@ -401,7 +449,8 @@ def assemble_congruence(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
         )
     diam = max(G.diameter(), H.diameter())
     threshold = tol.fit_threshold(diam)
-    rho = _assemble(G, H, tol, threshold)
+    rho = _assemble(_Regions(G), _Regions(H), tuple(G.bounded_faces()),
+                    tuple(H.bounded_faces()), tol, threshold)
     if rho is None:
         return None
     order = sorted(G.vertices)

@@ -22,7 +22,6 @@ from .geom import (
 )
 from .maps import (
     CombinatorialMap,
-    cycle_key,
     induced_vertex_and_face_maps,
     propagate_flag_map,
 )
@@ -112,23 +111,16 @@ class VertexPermutation:
         return f"VertexPermutation({self.cycle_notation()})"
 
 
-def enumerate_symmetries(M: CombinatorialMap) -> list[VertexPermutation]:
-    """All vertex permutations extending to automorphisms of the map.
-
-    One seed flag is fixed; every signature-compatible flag is tried as its
-    image and the candidate is propagated across the flag graph, which
-    forces the whole automorphism (orientation-reversing ones included,
-    since the flag involutions carry no orientation). Plane-graph
-    automorphisms must fix the outer face. Output is sorted by
-    permutation word.
-    """
+def _automorphisms(M: CombinatorialMap) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Vertex and face image arrays of every automorphism of the map,
+    sorted by vertex images; see `enumerate_symmetries`."""
     vertex_degree = M.degree[M.flag_vertex]
     face_size = np.array([len(f) for f in M.faces])[M.flag_face]
     pool = np.flatnonzero(M.flag_face != M.outer_face) if M.is_graph else np.arange(len(M.flags))
     seed = int(pool[0])
     same_signature = ((vertex_degree[pool] == vertex_degree[seed])
                       & (face_size[pool] == face_size[seed]))
-    found: dict[tuple[int, ...], np.ndarray] = {}
+    found: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     for cand in pool[same_signature].tolist():
         phi = propagate_flag_map(M, M, seed, cand)
         if phi is None:
@@ -139,9 +131,22 @@ def enumerate_symmetries(M: CombinatorialMap) -> list[VertexPermutation]:
         vmap, fmap = ind
         if M.is_graph and fmap[M.outer_face] != M.outer_face:
             continue
-        found.setdefault(tuple(vmap.tolist()), vmap)
+        found.setdefault(tuple(vmap.tolist()), ind)
     # index order is label order, so sorting images sorts words
-    return [VertexPermutation._from_image(M.vertices, found[key]) for key in sorted(found)]
+    return [found[key] for key in sorted(found)]
+
+
+def enumerate_symmetries(M: CombinatorialMap) -> list[VertexPermutation]:
+    """All vertex permutations extending to automorphisms of the map.
+
+    One seed flag is fixed; every signature-compatible flag is tried as its
+    image and the candidate is propagated across the flag graph, which
+    forces the whole automorphism (orientation-reversing ones included,
+    since the flag involutions carry no orientation). Plane-graph
+    automorphisms must fix the outer face. Output is sorted by
+    permutation word.
+    """
+    return [VertexPermutation._from_image(M.vertices, vmap) for vmap, _ in _automorphisms(M)]
 
 
 class _Instance:
@@ -157,7 +162,6 @@ class _Instance:
         u, v = self.ends.T
         self.lengths = np.linalg.norm(self.points[u] - self.points[v], axis=1)
         self.edge_codes = u * len(M.vertices) + v
-        self.faces = [[index[l] for l in face] for face in M.faces]
 
     def _image(self, sigma: VertexPermutation) -> np.ndarray:
         if sigma._labels != self.M.vertices:
@@ -275,12 +279,11 @@ def analyze(M: CombinatorialMap, coords, tol: Tolerance = DEFAULT_TOLERANCE,
     symmetry; records come back sorted by permutation word."""
     inst = _Instance(M, coords, tol)
     tol.warn_if_coarse(inst.diameter)
-    perms = enumerate_symmetries(M)
-    face_index = {key: i for i, key in enumerate(M.face_keys())}
+    automorphisms = _automorphisms(M)
+    perms = [VertexPermutation._from_image(M.vertices, vmap) for vmap, _ in automorphisms]
     records = []
-    for sigma in perms:
-        word = sigma.word
-        face_image = tuple(face_index[cycle_key([word[i] for i in f])] for f in inst.faces)
+    for sigma, (_, fmap) in zip(perms, automorphisms):
+        face_image = tuple(fmap.tolist())
         edge_ok = inst.edge_preserving(sigma)
         iso, rmsd, realized = inst.realize(sigma)
         if realized and not edge_ok:

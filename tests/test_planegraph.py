@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
-from edgesym import gallery
+from edgesym import gallery, planegraph
 from edgesym.errors import (
     DimensionMismatch,
     Disconnected,
@@ -73,6 +76,36 @@ class TestBuild:
                 [("1", (0, 0)), ("2", (2, 0)), ("3", (2, 2)), ("4", (0, 2))],
                 [("1", "3"), ("2", "4"), ("1", "2"), ("3", "4")],
             )
+
+    @pytest.mark.parametrize("block", [None, 1, 2, 5])
+    def test_first_crossing_pair_reported(self, monkeypatch, block):
+        # sorted edges: (1,5) (1,7) (2,4) (3,4) (3,6) (5,8) (6,7); (1,7) crosses
+        # (5,8) and (2,4) crosses (3,6), and pair order puts (1,7)x(5,8) first
+        if block is not None:
+            monkeypatch.setattr(planegraph, "_PAIR_BLOCK", block)
+        points = [("1", (0, 0)), ("5", (2, 0)), ("7", (2, 2)), ("8", (0, 2)),
+                  ("2", (5, 0)), ("3", (7, 0)), ("4", (7, 2)), ("6", (5, 2))]
+        edges = [("6", "7"), ("3", "6"), ("2", "4"), ("5", "8"), ("1", "7"),
+                 ("3", "4"), ("1", "5")]
+        with pytest.raises(EdgeCrossing, match=r"^edges \('1', '7'\) and \('5', '8'\) "):
+            build_plane_graph(points, edges)
+
+    def test_crossing_check_memory_bounded(self):
+        pts = np.random.default_rng(600).random((600, 2))
+        edges = set()
+        for simplex in Delaunay(pts).simplices:
+            a, b, c = sorted(int(x) for x in simplex)
+            edges |= {(a, b), (b, c), (a, c)}
+        points = [(str(i), p) for i, p in enumerate(pts)]
+        edges = [(str(a), str(b)) for a, b in sorted(edges)]
+        tracemalloc.start()
+        try:
+            G = build_plane_graph(points, edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(G.edges) > 1700
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
     def test_touching_edge_rejected(self):
         with pytest.raises(EdgeCrossing):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from edgesym import gallery
+from edgesym.gallery import gallery_names
 from edgesym.errors import PermutationNotASymmetry
+from edgesym.planegraph import ConvexPlaneGraph
 from edgesym.polytope import face_map
 from edgesym.symmetry import (
     VertexPermutation,
@@ -183,6 +185,21 @@ class TestAnalyze:
         report = analyze(face_map(P), P.vertices, instance_id=name)
         assert report.counts == counts
         assert report.group_closed
+
+    @pytest.mark.parametrize("name", [n for n in gallery_names() if ":" not in n]
+                             + ["prism:5", "antiprism:4", "twisted_squares:4:2:10"])
+    def test_face_image_is_the_face_permutation(self, name):
+        P = gallery(name)
+        if isinstance(P, ConvexPlaneGraph):
+            M = P.map
+        else:
+            M = face_map(P)
+        for r in analyze(M, P.vertices).records:
+            assert sorted(r.face_image) == list(range(len(M.faces))), r.sigma
+            for face, image in zip(M.faces, r.face_image):
+                assert {r.sigma(v) for v in face} == set(M.faces[image])
+            if M.is_graph:
+                assert r.face_image[M.outer_face] == M.outer_face
 
     def test_oblique_edge_preserving_matches_brute_force(self):
         P = gallery("oblique_parallelepiped")

@@ -89,9 +89,11 @@ _PAIR_BLOCK = 1 << 16  # edge pairs tested at once; bounds the temporaries
 
 
 def _first_bad_pair(coords: np.ndarray, ea: np.ndarray, eb: np.ndarray,
-                    ii: np.ndarray, jj: np.ndarray, eps: float):
+                    vec: np.ndarray, length: np.ndarray, ii: np.ndarray,
+                    jj: np.ndarray, eps: float):
     """The first pair (ii[k], jj[k]) of edges without a shared endpoint that
-    cross or touch, or None."""
+    cross or touch, or None. Edge e runs from coords[ea[e]] along vec[e],
+    of length length[e]."""
     shared = (
         (ea[ii] == ea[jj]) | (ea[ii] == eb[jj]) | (eb[ii] == ea[jj]) | (eb[ii] == eb[jj])
     )
@@ -101,36 +103,27 @@ def _first_bad_pair(coords: np.ndarray, ea: np.ndarray, eb: np.ndarray,
     p1, p2 = coords[ea[ii]], coords[eb[ii]]
     q1, q2 = coords[ea[jj]], coords[eb[jj]]
 
-    def cross(o, a, b):
-        return (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (a[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
+    def against(pt, a, e):
+        # side of pt relative to edge e starting at a, and whether pt lies
+        # within eps of the edge
+        ab, seg_len = vec[e], length[e]
+        ap = pt - a
+        side = ab[:, 0] * ap[:, 1] - ab[:, 1] * ap[:, 0]
+        t = np.clip((ap * ab).sum(axis=1) / np.maximum(seg_len**2, 1e-300), 0.0, 1.0)
+        closest = a + t[:, None] * ab
+        return side, np.linalg.norm(pt - closest, axis=1) <= eps * np.maximum(seg_len, 1.0)
 
-    d1 = cross(q1, q2, p1)
-    d2 = cross(q1, q2, p2)
-    d3 = cross(p1, p2, q1)
-    d4 = cross(p1, p2, q2)
-    lq = np.linalg.norm(q2 - q1, axis=1)
-    lp = np.linalg.norm(p2 - p1, axis=1)
-    tq = eps * lq
-    tp = eps * lp
+    d1, hit1 = against(p1, q1, jj)
+    d2, hit2 = against(p2, q1, jj)
+    d3, hit3 = against(q1, p1, ii)
+    d4, hit4 = against(q2, p1, ii)
+    tq = eps * length[jj]
+    tp = eps * length[ii]
     proper = (
         (((d1 > tq) & (d2 < -tq)) | ((d1 < -tq) & (d2 > tq)))
         & (((d3 > tp) & (d4 < -tp)) | ((d3 < -tp) & (d4 > tp)))
     )
-
-    def point_hits_segment(pt, a, b, seg_len):
-        ab = b - a
-        ap = pt - a
-        t = np.clip((ap * ab).sum(axis=1) / np.maximum(seg_len**2, 1e-300), 0.0, 1.0)
-        closest = a + t[:, None] * ab
-        return np.linalg.norm(pt - closest, axis=1) <= eps * np.maximum(seg_len, 1.0)
-
-    touching = (
-        point_hits_segment(p1, q1, q2, lq)
-        | point_hits_segment(p2, q1, q2, lq)
-        | point_hits_segment(q1, p1, p2, lp)
-        | point_hits_segment(q2, p1, p2, lp)
-    )
-    bad = proper | touching
+    bad = proper | hit1 | hit2 | hit3 | hit4
     if not bad.any():
         return None
     k = int(np.argmax(bad))
@@ -145,6 +138,8 @@ def _check_crossings(coords: np.ndarray, edges: list[tuple[int, int]],
     m = len(edges)
     ea = np.array([e[0] for e in edges])
     eb = np.array([e[1] for e in edges])
+    vec = coords[eb] - coords[ea]
+    length = np.linalg.norm(vec, axis=1)
     row_ends = np.cumsum(np.arange(m - 1, 0, -1))  # pairs in rows 0..i
     r0 = 0
     while r0 < m - 1:
@@ -154,7 +149,7 @@ def _check_crossings(coords: np.ndarray, edges: list[tuple[int, int]],
         counts = m - 1 - rows
         ii = np.repeat(rows, counts)
         jj = ii + 1 + np.arange(len(ii)) - np.repeat(np.cumsum(counts) - counts, counts)
-        pair = _first_bad_pair(coords, ea, eb, ii, jj, eps)
+        pair = _first_bad_pair(coords, ea, eb, vec, length, ii, jj, eps)
         if pair is not None:
             e1, e2 = edges[pair[0]], edges[pair[1]]
             n1 = (names[e1[0]], names[e1[1]])

@@ -8,6 +8,7 @@ lengths). Exit codes: 0 normal, 2 input error, 3 theorem violation alarm.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import EdgesymError
@@ -34,8 +35,8 @@ EXIT_VIOLATION = 3
 
 
 def _tolerance(args) -> Tolerance:
-    if not args.tol > 0:
-        raise EdgesymError(f"--tol must be a positive scale factor, got {args.tol}")
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        raise EdgesymError(f"--tol must be a positive finite scale factor, got {args.tol}")
     return DEFAULT_TOLERANCE.scaled(args.tol)
 
 
@@ -48,6 +49,8 @@ def _instances(args, tol):
         if args.random < 4:
             raise EdgesymError(f"--random needs N >= 4, got {args.random}")
         seed = args.seed if args.seed is not None else 0
+        if seed < 0:
+            raise EdgesymError(f"--seed must be >= 0, got {seed}")
         yield f"random:{args.random}:{seed}", random_inscribed_polytope(args.random, seed)
         return
     if not args.input:

@@ -324,6 +324,8 @@ def _check_side_lengths(lengths) -> list[float]:
     L = [float(x) for x in lengths]
     if len(L) < 3:
         raise PolygonInequality("need at least 3 side lengths")
+    if not all(math.isfinite(x) for x in L):
+        raise PolygonInequality("side lengths must be finite")
     if min(L) <= 0:
         raise PolygonInequality("side lengths must be strictly positive")
     lmax = max(L)

@@ -5,8 +5,9 @@ distinguished outer face. Everything else is derived: the edge set, vertex
 degrees, and the flag graph. A flag is a mutually incident
 (vertex, edge, face) triple, numbered 0..4E-1; the involutions s0/s1/s2
 are int arrays that switch the vertex, the edge, and the face coordinate
-respectively. A map isomorphism is forced by the image of a single flag,
-which is what `propagate_flag_map` exploits.
+respectively. A map isomorphism commutes with the three involutions, so
+it is forced by the image of a single flag; `symmetry` replays that image
+across the flag graph to enumerate automorphisms.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ __all__ = [
     "combinatorially_equivalent",
     "cycle_key",
     "edge_key",
-    "induced_vertex_and_face_maps",
-    "propagate_flag_map",
 ]
 
 Edge = tuple[str, str]
@@ -155,62 +154,14 @@ class CombinatorialMap:
         )
 
 
-def propagate_flag_map(src: CombinatorialMap, dst: CombinatorialMap,
-                       seed: int, image: int) -> Optional[np.ndarray]:
-    """Forced extension of seed -> image across the flag graph.
-
-    Every neighbor relation must be preserved, so the assignment spreads
-    deterministically; a conflict means no isomorphism maps the seed flag
-    to the image flag. Returns the flag bijection as an image array, or
-    None.
-    """
-    n = len(src.flags)
-    if n != len(dst.flags):
-        return None
-    phi = [-1] * n
-    phi[seed] = image
-    stack = [seed]
-    # memoryviews read the arrays as Python ints without copying them
-    pairs = [(memoryview(sa), memoryview(sb))
-             for sa, sb in zip((src.s0, src.s1, src.s2), (dst.s0, dst.s1, dst.s2))]
-    while stack:
-        fl = stack.pop()
-        im = phi[fl]
-        for sa, sb in pairs:
-            fn, gn = sa[fl], sb[im]
-            cur = phi[fn]
-            if cur < 0:
-                phi[fn] = gn
-                stack.append(fn)
-            elif cur != gn:
-                return None
-    out = np.array(phi)
-    if out.min() < 0 or np.bincount(out, minlength=n).max() != 1:
-        return None
-    return out
-
-
-def induced_vertex_and_face_maps(src: CombinatorialMap, dst: CombinatorialMap,
-                                 phi: np.ndarray):
-    """Vertex and face image arrays induced by a flag bijection, or None if
-    either fails to be well defined."""
-    vmap = np.empty(len(src.vertices), dtype=np.intp)
-    fmap = np.empty(len(src.faces), dtype=np.intp)
-    vmap[src.flag_vertex] = dst.flag_vertex[phi]
-    fmap[src.flag_face] = dst.flag_face[phi]
-    if (vmap[src.flag_vertex] != dst.flag_vertex[phi]).any():
-        return None
-    if (fmap[src.flag_face] != dst.flag_face[phi]).any():
-        return None
-    return vmap, fmap
-
-
 def combinatorially_equivalent(a: CombinatorialMap, b: CombinatorialMap) -> bool:
     """Whether the identity on vertex labels extends to a map isomorphism.
 
     For plane graphs the isomorphism must additionally match the two outer
-    faces. Decided by flag propagation from a single seed flag; only the
-    (at most two) image flags sharing the seed's vertex and edge can work.
+    faces. The flag involutions carry no orientation, so the identity
+    extends exactly when both maps have the same vertices and edges and
+    the same faces read as unoriented cycles (`cycle_key`), and, for plane
+    graphs, outer faces with the same key.
     """
     if a.is_graph != b.is_graph:
         raise ValueError("cannot compare a polytope map with a plane-graph map")
@@ -218,20 +169,4 @@ def combinatorially_equivalent(a: CombinatorialMap, b: CombinatorialMap) -> bool
         return False
     if sorted(a.face_keys()) != sorted(b.face_keys()):
         return False
-    seed = int(np.argmax(a.flag_face != a.outer_face)) if a.is_graph else 0
-    v, w = a.flag_vertex[seed], a.flag_vertex[a.s0[seed]]
-    candidates = np.flatnonzero((b.flag_vertex == v) & (b.flag_vertex[b.s0] == w))
-    for cand in candidates.tolist():
-        phi = propagate_flag_map(a, b, seed, cand)
-        if phi is None:
-            continue
-        ind = induced_vertex_and_face_maps(a, b, phi)
-        if ind is None:
-            continue
-        vmap, fmap = ind
-        if (vmap != np.arange(len(vmap))).any():
-            continue
-        if a.is_graph and fmap[a.outer_face] != b.outer_face:
-            continue
-        return True
-    return False
+    return not a.is_graph or a.face_keys()[a.outer_face] == b.face_keys()[b.outer_face]

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import (
     DegenerateFaceMerge,
@@ -80,6 +79,8 @@ def build_polytope(points, tol: Tolerance = DEFAULT_TOLERANCE) -> IndexedPolytop
     sing = np.linalg.svd(coords - coords.mean(axis=0), compute_uv=False)
     if sing[2] <= 1e-10 * sing[0]:
         raise NotFullDimensional("points have affine dimension below 3")
+    from scipy.spatial import ConvexHull  # imported here: scipy.spatial loads slowly
+
     hull = ConvexHull(coords)
     hull_vertices = set(hull.vertices.tolist())
     interior = sorted(labels[i] for i in range(len(labels)) if i not in hull_vertices)
@@ -131,6 +132,8 @@ def face_map(P: IndexedPolytope, tol: Tolerance = DEFAULT_TOLERANCE) -> Combinat
     """
     labels = P.labels
     pts = P.point_array()
+    from scipy.spatial import ConvexHull
+
     hull = ConvexHull(pts)
     tris = hull.simplices
     normals = hull.equations[:, :3]

@@ -1,8 +1,9 @@
 """Combinatorial symmetries of a map.
 
-Enumeration by flag propagation, edge-length preservation filtering, and
-realization by ambient isometries (global Procrustes residual against a
-diameter-relative threshold).
+Enumeration by colour refinement and batched flag replay, edge-length
+preservation filtering, and realization by ambient isometries (global
+Procrustes residual against a diameter-relative threshold), all on arrays
+of vertex images.
 """
 
 from __future__ import annotations
@@ -13,18 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import PermutationNotASymmetry
-from .geom import (
-    DEFAULT_TOLERANCE,
-    Isometry,
-    Tolerance,
-    best_fit_isometry,
-    diameter_of,
-)
-from .maps import (
-    CombinatorialMap,
-    induced_vertex_and_face_maps,
-    propagate_flag_map,
-)
+from .geom import DEFAULT_TOLERANCE, Isometry, Tolerance, _as_points, diameter_of
+from .maps import CombinatorialMap
 
 __all__ = [
     "SymmetryRecord",
@@ -111,42 +102,140 @@ class VertexPermutation:
         return f"VertexPermutation({self.cycle_notation()})"
 
 
-def _automorphisms(M: CombinatorialMap) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Vertex and face image arrays of every automorphism of the map,
+# Colour refinement stops after this many rounds even if cells still
+# split; on random spheres of 1000 and 3000 points the seed is alone in its
+# cell after a handful.
+_REFINE_ROUNDS = 16
+# Elements per numpy pass in flag replay and classification, which bounds
+# their memory whatever the group order.
+_BLOCK = 1 << 18
+
+
+def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
+    """Slices of about _BLOCK elements over rows of ``row_size`` elements;
+    at least one, possibly empty."""
+    step = max(1, _BLOCK // max(1, row_size))
+    return [slice(i, i + step) for i in range(0, max(n_rows, 1), step)]
+
+
+def _flag_colours(M: CombinatorialMap, seed: int) -> np.ndarray:
+    """Flag colours that every automorphism of the map (fixing the outer
+    face of a plane graph) preserves.
+
+    Starts from (vertex degree, face size, on the outer face) and refines by
+    the colours of the s0/s1/s2 neighbours until the partition stops
+    splitting, the seed is alone in its cell, or _REFINE_ROUNDS rounds have
+    run. The four colours of a refinement key are packed into one int,
+    renumbered by np.unique whenever the next one would overflow int64.
+    """
+    n = len(M.flags)
+    key = M.degree[M.flag_vertex] * n + np.bincount(M.flag_face)[M.flag_face]
+    if M.is_graph:
+        key = 2 * key + (M.flag_face == M.outer_face)
+    colours = np.unique(key, return_inverse=True)[1]
+    for _ in range(_REFINE_ROUNDS):
+        cells = int(colours.max()) + 1
+        if cells == n or np.count_nonzero(colours == colours[seed]) == 1:
+            break
+        refined, bound = colours, cells
+        for s in (M.s0, M.s1, M.s2):
+            if bound * cells >= 1 << 63:
+                refined = np.unique(refined, return_inverse=True)[1]
+                bound = int(refined.max()) + 1
+            refined = refined * cells + colours[s]
+            bound *= cells
+        refined = np.unique(refined, return_inverse=True)[1]
+        if refined.max() + 1 == cells:
+            break
+        colours = refined
+    return colours
+
+
+def _flag_tree(M: CombinatorialMap, seed: int):
+    """Breadth-first tree of the flag graph from the seed; None if the flag
+    graph is not connected.
+
+    Returns the levels of the tree, each as arrays (flags, parents,
+    involution) with flags = S[involution, parents] for S = (s0, s1, s2),
+    and the flag-graph edges outside the tree, one direction each, as
+    arrays (flags, involution).
+    """
+    S = np.stack((M.s0, M.s1, M.s2))
+    seen = np.zeros(len(M.flags), dtype=bool)
+    seen[seed] = True
+    outside = S > np.arange(len(M.flags))
+    levels = []
+    frontier = np.array([seed])
+    while True:
+        flags = S[:, frontier].ravel()
+        new = np.flatnonzero(~seen[flags])
+        if not len(new):
+            break
+        children, first = np.unique(flags[new], return_index=True)
+        new = new[first]
+        parents, involution = frontier[new % len(frontier)], new // len(frontier)
+        levels.append((children, parents, involution))
+        outside[involution, np.minimum(children, parents)] = False
+        seen[children] = True
+        frontier = children
+    if not seen.all():
+        return None
+    involution, flags = np.nonzero(outside)
+    return levels, (flags, involution)
+
+
+def _automorphisms(M: CombinatorialMap) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex and face image arrays, one row per automorphism of the map,
     sorted by vertex images; see `enumerate_symmetries`."""
-    vertex_degree = M.degree[M.flag_vertex]
-    face_size = np.array([len(f) for f in M.faces])[M.flag_face]
-    pool = np.flatnonzero(M.flag_face != M.outer_face) if M.is_graph else np.arange(len(M.flags))
-    seed = int(pool[0])
-    same_signature = ((vertex_degree[pool] == vertex_degree[seed])
-                      & (face_size[pool] == face_size[seed]))
-    found: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-    for cand in pool[same_signature].tolist():
-        phi = propagate_flag_map(M, M, seed, cand)
-        if phi is None:
-            continue
-        ind = induced_vertex_and_face_maps(M, M, phi)
-        if ind is None:
-            continue
-        vmap, fmap = ind
-        if M.is_graph and fmap[M.outer_face] != M.outer_face:
-            continue
-        found.setdefault(tuple(vmap.tolist()), ind)
-    # index order is label order, so sorting images sorts words
-    return [found[key] for key in sorted(found)]
+    n_v, n_f = len(M.vertices), len(M.faces)
+    seed = int(np.argmax(M.flag_face != M.outer_face)) if M.is_graph else 0
+    tree = _flag_tree(M, seed)
+    if tree is None:
+        return np.empty((0, n_v), dtype=np.intp), np.empty((0, n_f), dtype=np.intp)
+    colours = _flag_colours(M, seed)
+    candidates = np.flatnonzero(colours == colours[seed])
+    if len(candidates) == 1:
+        return np.arange(n_v)[None], np.arange(n_f)[None]
+    levels, (loose, loose_involution) = tree
+    S = np.stack((M.s0, M.s1, M.s2))
+    vertex_flag = np.unique(M.flag_vertex, return_index=True)[1]
+    face_flag = np.unique(M.flag_face, return_index=True)[1]
+    vmaps, fmaps = [], []
+    for block in _row_blocks(len(candidates), len(M.flags)):
+        # column c: the image of every flag if the seed goes to candidate c
+        phi = np.empty((len(M.flags), len(candidates[block])), dtype=np.intp)
+        phi[seed] = candidates[block]
+        for flags, parents, involution in levels:
+            phi[flags] = S[involution[:, None], phi[parents]]
+        # phi commutes with s0, s1, s2 along the tree by construction; where
+        # it does along the other edges too, it is an automorphism, so every
+        # flag of a vertex or face gives the same image
+        ok = (phi[S[loose_involution, loose]]
+              == S[loose_involution[:, None], phi[loose]]).all(axis=0)
+        if M.is_graph:
+            ok &= M.flag_face[phi[face_flag[M.outer_face]]] == M.outer_face
+        vmaps.append(M.flag_vertex[phi[vertex_flag][:, ok]].T)
+        fmaps.append(M.flag_face[phi[face_flag][:, ok]].T)
+    # rows in lexicographic order; among equal vertex images (two-face maps,
+    # whose faces share their vertices) the first candidate's face images
+    vmaps, first = np.unique(np.concatenate(vmaps), axis=0, return_index=True)
+    return vmaps, np.concatenate(fmaps)[first]
 
 
 def enumerate_symmetries(M: CombinatorialMap) -> list[VertexPermutation]:
     """All vertex permutations extending to automorphisms of the map.
 
-    One seed flag is fixed; every signature-compatible flag is tried as its
-    image and the candidate is propagated across the flag graph, which
-    forces the whole automorphism (orientation-reversing ones included,
-    since the flag involutions carry no orientation). Plane-graph
-    automorphisms must fix the outer face. Output is sorted by
+    An automorphism commutes with the flag involutions, so the image of one
+    seed flag forces it (orientation-reversing ones included, since the
+    involutions carry no orientation). Colour refinement on the flag graph
+    keeps as candidate images only the flags that share the seed's colour;
+    if the seed is alone in its cell the group is the identity. Otherwise
+    all candidates are replayed together along the breadth-first tree of
+    the flag graph and the rows that commute with s0, s1 and s2 are kept.
+    Plane-graph automorphisms must fix the outer face. Output is sorted by
     permutation word.
     """
-    return [VertexPermutation._from_image(M.vertices, vmap) for vmap, _ in _automorphisms(M)]
+    return [VertexPermutation._from_image(M.vertices, vmap) for vmap in _automorphisms(M)[0]]
 
 
 class _Instance:
@@ -161,50 +250,84 @@ class _Instance:
         self.ends = np.array([[index[u], index[v]] for u, v in M.edges])
         u, v = self.ends.T
         self.lengths = np.linalg.norm(self.points[u] - self.points[v], axis=1)
+        # sorted, since M.edges and M.vertices are
         self.edge_codes = u * len(M.vertices) + v
 
-    def _image(self, sigma: VertexPermutation) -> np.ndarray:
+    def image_row(self, sigma: VertexPermutation) -> np.ndarray:
         if sigma._labels != self.M.vertices:
             raise ValueError("permutation and map act on different vertex labels")
-        return sigma._image
+        return sigma._image[None]
 
-    def edge_preserving(self, sigma: VertexPermutation) -> bool:
-        a, b = self._image(sigma)[self.ends.T]
-        is_edge = np.isin(np.minimum(a, b) * len(self.M.vertices) + np.maximum(a, b),
-                          self.edge_codes)
-        image_lengths = np.linalg.norm(self.points[a] - self.points[b], axis=1)
+    def classify(self, images: np.ndarray, fit: bool = True):
+        """Edge test and, with ``fit``, best-fit isometry of every row of
+        vertex images, in blocks of rows.
+
+        Returns ``edge_ok`` (every edge maps to an edge of equal length,
+        within the absolute-plus-relative threshold), ``offending`` (the
+        first edge in ``M.edges`` order failing that test if it maps to a
+        non-edge, else -1) and, with ``fit``, the stacked orthogonal
+        Procrustes fits as (linear parts, translations, RMS residuals,
+        residual within ``fit_eps`` times the diameter); None without.
+        """
+        n, n_e = len(self.points), len(self.lengths)
         eps = self.tol.length_eps(self.diameter)
-        bad = ~is_edge | (np.abs(self.lengths - image_lengths) > eps)
-        if not bad.any():
-            return True
-        first = int(np.argmax(bad))
-        if not is_edge[first]:
-            u, v = self.M.edges[first]
-            iu, iv = self.M.vertices[a[first]], self.M.vertices[b[first]]
-            raise PermutationNotASymmetry(f"edge {{{u},{v}}} maps to non-edge {{{iu},{iv}}}")
-        return False
-
-    def realize(self, sigma: VertexPermutation) -> tuple[Isometry, float, bool]:
-        """Best-fit isometry, its RMS residual, and whether the residual is
-        within ``fit_eps`` times the diameter."""
-        iso, rmsd = best_fit_isometry(self.points, self.points[self._image(sigma)],
-                                      allow_reflection=True, tol=self.tol)
-        return iso, rmsd, rmsd <= self.tol.fit_threshold(self.diameter)
+        edge_ok, offending = [], []
+        for block in _row_blocks(len(images), n_e):
+            ends = images[block][:, self.ends]
+            a, b = ends[..., 0], ends[..., 1]
+            codes = np.minimum(a, b) * n + np.maximum(a, b)
+            hit = np.minimum(np.searchsorted(self.edge_codes, codes), n_e - 1)
+            is_edge = self.edge_codes[hit] == codes
+            bad = ~is_edge | (np.abs(self.lengths - self.lengths[hit]) > eps)
+            rows, first = np.arange(len(bad)), bad.argmax(axis=1)
+            edge_ok.append(~bad[rows, first])
+            offending.append(np.where(bad[rows, first] & ~is_edge[rows, first], first, -1))
+        edge_ok, offending = np.concatenate(edge_ok), np.concatenate(offending)
+        if not fit:
+            return edge_ok, offending, None
+        A = _as_points(self.points)
+        ca = A.mean(axis=0)
+        centred_t = (A - ca).T
+        linear, translation, rmsd = [], [], []
+        for block in _row_blocks(len(images), A.size):
+            B = A[images[block]]
+            cb = B.mean(axis=1)
+            U, _sing, Vt = np.linalg.svd(centred_t @ (B - cb[:, None]))
+            R = np.swapaxes(Vt, 1, 2) @ np.swapaxes(U, 1, 2)
+            t = cb - R @ ca
+            resid = A @ np.swapaxes(R, 1, 2) + t[:, None] - B
+            linear.append(R)
+            translation.append(t)
+            rmsd.append(np.sqrt((resid * resid).reshape(len(B), A.size).sum(axis=1) / n))
+        rmsd = np.concatenate(rmsd)
+        fits = (np.concatenate(linear), np.concatenate(translation), rmsd,
+                rmsd <= self.tol.fit_threshold(self.diameter))
+        return edge_ok, offending, fits
 
 
 def is_edge_preserving(M: CombinatorialMap, coords, sigma: VertexPermutation,
                        tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True iff sigma maps every edge to an edge of equal length
-    (absolute-plus-relative threshold)."""
-    return _Instance(M, coords, tol).edge_preserving(sigma)
+    (absolute-plus-relative threshold). Raises PermutationNotASymmetry if
+    the first edge, in ``M.edges`` order, failing that maps to a non-edge."""
+    inst = _Instance(M, coords, tol)
+    row = inst.image_row(sigma)
+    edge_ok, offending, _ = inst.classify(row, fit=False)
+    first = int(offending[0])
+    if first >= 0:
+        u, v = M.edges[first]
+        iu, iv = (M.vertices[i] for i in row[0, inst.ends[first]])
+        raise PermutationNotASymmetry(f"edge {{{u},{v}}} maps to non-edge {{{iu},{iv}}}")
+    return bool(edge_ok[0])
 
 
 def realize(M: CombinatorialMap, coords, sigma: VertexPermutation,
             tol: Tolerance = DEFAULT_TOLERANCE) -> Optional[tuple[Isometry, float]]:
     """The isometry taking each vertex to the position of its sigma-image,
     if one fits within ``fit_eps`` times the diameter; None otherwise."""
-    iso, rmsd, realized = _Instance(M, coords, tol).realize(sigma)
-    return (iso, rmsd) if realized else None
+    inst = _Instance(M, coords, tol)
+    linear, translation, rmsd, realized = inst.classify(inst.image_row(sigma))[2]
+    return (Isometry(linear[0], translation[0]), float(rmsd[0])) if realized[0] else None
 
 
 @dataclass(frozen=True)
@@ -261,15 +384,42 @@ class SymmetryReport:
         }
 
 
-def _group_closed(perms: list[VertexPermutation]) -> bool:
-    images = np.array([p._image for p in perms])
+def _group_closed(images: np.ndarray) -> bool:
+    """Whether the rows of ``images``, permutations of 0..n-1, form a group.
+
+    A breadth-first search from the identity multiplies every element it
+    reaches on the right by generators, picked greedily: each row not yet
+    reached becomes one. Every product must be a row, and the search must
+    reach every row; a nonempty finite set of permutations closed under
+    products is a group. That takes |G|·|S| compositions for |S| generators,
+    not the |G|² of checking every pair.
+    """
+    images = np.asarray(images, dtype=np.intp)
+    if not len(images):
+        return False
     members = {row.tobytes() for row in images}
-    for a in images:
-        if np.argsort(a).tobytes() not in members:
-            return False
-        # row j is a after perms[j]
-        if any(row.tobytes() not in members for row in a[images]):
-            return False
+    identity = np.arange(images.shape[1])
+    if identity.tobytes() not in members:
+        return False
+    reached, elements, generators = {identity.tobytes()}, [identity], []
+    for g in images:
+        if g.tobytes() in reached:
+            continue
+        generators.append(g)
+        # what was reached before g still needs g; what g reaches, all generators
+        frontier, apply = np.array(elements), [g]
+        while len(frontier):
+            new = []
+            for h in apply:
+                for row in frontier[:, h]:
+                    key = row.tobytes()
+                    if key not in reached:
+                        if key not in members:
+                            return False
+                        reached.add(key)
+                        new.append(row)
+            elements += new
+            frontier, apply = np.array(new), generators
     return True
 
 
@@ -279,26 +429,26 @@ def analyze(M: CombinatorialMap, coords, tol: Tolerance = DEFAULT_TOLERANCE,
     symmetry; records come back sorted by permutation word."""
     inst = _Instance(M, coords, tol)
     tol.warn_if_coarse(inst.diameter)
-    automorphisms = _automorphisms(M)
-    perms = [VertexPermutation._from_image(M.vertices, vmap) for vmap, _ in automorphisms]
+    vmaps, fmaps = _automorphisms(M)
+    perms = [VertexPermutation._from_image(M.vertices, vmap) for vmap in vmaps]
+    edge_ok, _, (linear, translation, rmsd, realized) = inst.classify(vmaps)
+    unsound = np.flatnonzero(realized & ~edge_ok)
+    if len(unsound):
+        raise AssertionError(
+            f"symmetry {perms[unsound[0]].cycle_notation()} realized but not edge-preserving"
+        )
     records = []
-    for sigma, (_, fmap) in zip(perms, automorphisms):
-        face_image = tuple(fmap.tolist())
-        edge_ok = inst.edge_preserving(sigma)
-        iso, rmsd, realized = inst.realize(sigma)
-        if realized and not edge_ok:
-            raise AssertionError(
-                f"symmetry {sigma.cycle_notation()} realized but not edge-preserving"
-            )
+    for i, (sigma, face_image) in enumerate(zip(perms, fmaps.tolist())):
+        iso = Isometry(linear[i], translation[i]) if realized[i] else None
         records.append(
             SymmetryRecord(
                 sigma=sigma,
-                face_image=face_image,
-                edge_preserving=edge_ok,
-                realized=realized,
-                isometry=iso if realized else None,
-                rmsd=rmsd,
-                orientation=iso.orientation if realized else None,
+                face_image=tuple(face_image),
+                edge_preserving=bool(edge_ok[i]),
+                realized=iso is not None,
+                isometry=iso,
+                rmsd=float(rmsd[i]),
+                orientation=iso.orientation if iso is not None else None,
             )
         )
     identity = next((r for r in records if r.sigma.is_identity()), None)
@@ -310,5 +460,5 @@ def analyze(M: CombinatorialMap, coords, tol: Tolerance = DEFAULT_TOLERANCE,
         edge_preserving_count=sum(r.edge_preserving for r in records),
         realized_count=sum(r.realized for r in records),
         records=tuple(records),
-        group_closed=_group_closed(perms),
+        group_closed=_group_closed(vmaps),
     )

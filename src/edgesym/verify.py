@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .errors import EdgesymError
 from .gallery import twisted_squares
@@ -145,6 +144,8 @@ def random_triangulation(n: int, seed: int,
     as a convex plane graph (all bounded faces triangles)."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    from scipy.spatial import Delaunay  # imported here: scipy.spatial loads slowly
+
     rng = np.random.default_rng(seed)
     for _ in range(100):
         pts = rng.random((n, 2))

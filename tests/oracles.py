@@ -1,7 +1,8 @@
 """Independent oracle implementations used to cross-check the library.
 
 Everything here is deliberately computed by a different route than the
-package takes: exhaustive enumeration instead of flag propagation, closed
+package takes: exhaustive enumeration instead of colour-refined flag
+replay, forced flag propagation instead of comparing face keys, closed
 forms instead of iterative fits. Keep it that way.
 """
 
@@ -40,6 +41,60 @@ def brute_force_symmetries(faces, outer=None):
             continue
         found.append(sigma)
     return found
+
+
+def _propagate_flag_map(src, dst, seed, image):
+    """Forced extension of seed -> image across the flag graphs of two
+    maps, one flag at a time: every neighbour relation must be preserved,
+    so the assignment spreads deterministically. Returns the flag
+    bijection as a list, or None on a conflict."""
+    n = len(src.flags)
+    if n != len(dst.flags):
+        return None
+    phi = [-1] * n
+    phi[seed] = image
+    stack = [seed]
+    pairs = list(zip((src.s0, src.s1, src.s2), (dst.s0, dst.s1, dst.s2)))
+    while stack:
+        fl = stack.pop()
+        for sa, sb in pairs:
+            fn, gn = int(sa[fl]), int(sb[phi[fl]])
+            if phi[fn] < 0:
+                phi[fn] = gn
+                stack.append(fn)
+            elif phi[fn] != gn:
+                return None
+    if min(phi) < 0 or len(set(phi)) != n:
+        return None
+    return phi
+
+
+def propagation_equivalent(a, b):
+    """Whether the identity on vertex labels extends to an isomorphism of
+    the maps (matching the outer faces of plane graphs), by propagating
+    every image of one seed flag that keeps its vertex and edge."""
+    if a.vertices != b.vertices or a.edges != b.edges:
+        return False
+    seed = next(f for f in a.flags if not a.is_graph or a.flag_face[f] != a.outer_face)
+    v, w = a.flag_vertex[seed], a.flag_vertex[a.s0[seed]]
+    for cand in b.flags:
+        if (b.flag_vertex[cand], b.flag_vertex[b.s0[cand]]) != (v, w):
+            continue
+        phi = _propagate_flag_map(a, b, seed, cand)
+        if phi is None:
+            continue
+        vertex_image, face_image = {}, {}
+        consistent = True
+        for f, g in enumerate(phi):
+            for image, x, y in ((vertex_image, a.flag_vertex[f], b.flag_vertex[g]),
+                                (face_image, a.flag_face[f], b.flag_face[g])):
+                consistent &= image.setdefault(int(x), int(y)) == int(y)
+        if not consistent or any(x != y for x, y in vertex_image.items()):
+            continue
+        if a.is_graph and face_image[a.outer_face] != b.outer_face:
+            continue
+        return True
+    return False
 
 
 def edges_of_faces(faces):

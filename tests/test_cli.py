@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -94,6 +96,8 @@ class TestVerify:
         ("--gallery", "cube", "--tol", "0"),
         ("--gallery", "cube", "--tol", "-1"),
         ("--random", "3"),
+        ("--random", "5", "--seed", "-1"),
+        ("--gallery", "cube", "--tol", "inf"),
     ])
     def test_bad_option_value_is_input_error(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)
@@ -128,6 +132,23 @@ class TestReconstruct:
     def test_bad_sides_string(self, capsys):
         code, _, err = run(capsys, "reconstruct", "--sides", "3,four,5")
         assert code == 2
+
+    @pytest.mark.parametrize("sides", ["1,1,inf", "1,1,nan"])
+    def test_non_finite_side_is_input_error(self, capsys, sides):
+        code, out, err = run(capsys, "reconstruct", "--sides", sides)
+        assert code == 2
+        assert out == ""
+        assert err == "error: side lengths must be finite\n"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy.spatial loads slowly, so only the functions that need a hull
+    or a Delaunay triangulation import it."""
+    probe = ("import sys, edgesym.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"
 
 
 class TestDeterminism:

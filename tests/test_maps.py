@@ -1,6 +1,10 @@
 import pytest
 
+from edgesym import face_map, gallery
 from edgesym.maps import CombinatorialMap, combinatorially_equivalent, cycle_key, edge_key
+from edgesym.symmetry import enumerate_symmetries
+from edgesym.verify import random_inscribed_polytope, random_triangulation
+from oracles import propagation_equivalent
 
 CUBE_FACES = [
     ("1", "2", "3", "4"),
@@ -67,3 +71,38 @@ def test_equivalence_rejects_kind_mismatch():
     disk = CombinatorialMap([("1", "2", "3", "4"), ("1", "4", "3", "2")], outer_face=1)
     with pytest.raises(ValueError):
         combinatorially_equivalent(sphere, disk)
+
+
+def _variants(M):
+    """Maps on M's faces that the identity on labels may or may not carry
+    onto M: mirrored and mixed orientations, every outer-face choice, and
+    copies relabelled by a symmetry and by a label rotation."""
+    faces, outer = list(M.faces), M.outer_face
+    mirrored = [f[::-1] for f in faces]
+    mixed = [f[::-1] if i % 2 else f for i, f in enumerate(faces)]
+    outers = range(len(faces)) if M.is_graph else [None]
+    out = [CombinatorialMap(fs, outer_face=o) for fs in (faces, mirrored, mixed) for o in outers]
+    labels = M.vertices
+    rotate = dict(zip(labels, labels[1:] + labels[:1]))
+    sigma = enumerate_symmetries(M)[-1]
+    for relabel in (rotate, {l: sigma(l) for l in labels}):
+        out.append(CombinatorialMap([[relabel[v] for v in f] for f in faces], outer_face=outer))
+    return out
+
+
+def test_equivalence_matches_flag_propagation():
+    polytopes = [face_map(gallery(s)) for s in ("cube", "tetrahedron", "prism:5", "frustum")]
+    polytopes.append(face_map(random_inscribed_polytope(12, 3)))
+    graphs = [gallery(s).map for s in ("square", "parallelogram", "hex_three_rhombi",
+                                       "twisted_squares:4:2:10")]
+    graphs += [random_triangulation(n, 1).map for n in (6, 9)]
+    verdicts = []
+    for kind in (polytopes, graphs):
+        maps = [v for M in kind for v in _variants(M)]
+        for a in maps:
+            for b in maps:
+                got = combinatorially_equivalent(a, b)
+                assert got == propagation_equivalent(a, b), (a.faces, a.outer_face,
+                                                             b.faces, b.outer_face)
+                verdicts.append(got)
+    assert 200 < sum(verdicts) < len(verdicts) - 200

@@ -1,19 +1,26 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from edgesym import gallery
+from edgesym import gallery, symmetry
 from edgesym.gallery import gallery_names
 from edgesym.errors import PermutationNotASymmetry
+from edgesym.maps import edge_key
 from edgesym.planegraph import ConvexPlaneGraph
 from edgesym.polytope import face_map
 from edgesym.symmetry import (
     VertexPermutation,
+    _automorphisms,
+    _flag_colours,
+    _group_closed,
     analyze,
     enumerate_symmetries,
     is_edge_preserving,
     realize,
 )
-from edgesym.verify import random_inscribed_polytope
+from edgesym.verify import random_inscribed_polytope, random_triangulation
 from oracles import brute_force_edge_preserving, brute_force_symmetries
 
 
@@ -79,6 +86,60 @@ class TestEnumeration:
                 for b in perms:
                     assert a.compose(b).word in ws
 
+    @pytest.mark.parametrize("spec", ["prism:120", "antiprism:120"])
+    def test_dihedral_order_at_scale(self, spec):
+        # D_n x Z_2: n rotations about the axis, n half-turns, times a mirror
+        assert len(enumerate_symmetries(face_map(gallery(spec)))) == 480
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_generic_sphere_has_only_the_identity(self, seed):
+        perms = enumerate_symmetries(face_map(random_inscribed_polytope(1000, seed)))
+        assert len(perms) == 1 and perms[0].is_identity()
+
+    @pytest.mark.parametrize("spec", ["cube", "icosahedron", "prism:6", "octa_tetra_glue",
+                                      "square", "hex_three_rhombi", "twisted_squares:4:2:0",
+                                      "triangulation"])
+    def test_refinement_only_prunes(self, spec, monkeypatch):
+        """With every flag a candidate image of the seed, the replay finds
+        the same automorphisms, and each of them preserves the refined
+        colours."""
+        inst = random_triangulation(12, 0) if spec == "triangulation" else gallery(spec)
+        M = inst.map if isinstance(inst, ConvexPlaneGraph) else face_map(inst)
+        refined = _automorphisms(M)
+        monkeypatch.setattr(symmetry, "_flag_colours",
+                            lambda M, seed: np.zeros(len(M.flags), dtype=np.intp))
+        every = _automorphisms(M)
+        monkeypatch.undo()
+        assert all(np.array_equal(a, b) for a, b in zip(refined, every))
+        # a flag is its (vertex, other end of its edge, face)
+        ends = list(zip(M.flag_vertex, M.flag_vertex[M.s0], M.flag_face))
+        flag_of = {end: fl for fl, end in enumerate(ends)}
+        for seed in (0, len(M.flags) - 1):
+            colours = _flag_colours(M, seed)
+            for vmap, fmap in zip(*every):
+                phi = [flag_of[vmap[v], vmap[w], fmap[f]] for v, w, f in ends]
+                assert (colours[phi] == colours).all()
+
+
+class TestGroupClosed:
+    S4 = [np.array(p) for p in itertools.permutations(range(4))]
+
+    def test_symmetric_group(self):
+        assert _group_closed(np.array(self.S4))
+
+    def test_identity_and_a_three_cycle(self):
+        e, c = np.arange(3), np.array([1, 2, 0])
+        assert not _group_closed(np.array([e, c]))
+        assert _group_closed(np.array([e, c, c[c]]))
+
+    def test_cyclic_group_without_identity(self):
+        c = np.array([1, 2, 0])
+        assert not _group_closed(np.array([c, c[c]]))
+
+    @pytest.mark.parametrize("drop", [1, 11, 23])
+    def test_symmetric_group_minus_one(self, drop):
+        assert not _group_closed(np.array(self.S4[:drop] + self.S4[drop + 1:]))
+
 
 WHITNEY_CASES = (
     ["cube", "dodecahedron", "icosahedron", "octa_tetra_glue"]
@@ -139,6 +200,42 @@ class TestEdgePreserving:
         )
         with pytest.raises(PermutationNotASymmetry):
             is_edge_preserving(M, cube.vertices, swap)
+
+    def test_first_offending_edge_decides(self, rng):
+        """PermutationNotASymmetry exactly when the first edge, in M.edges
+        order, that fails the test maps to a non-edge; False when it maps
+        to an edge of another length, even if later edges map to non-edges."""
+        P = gallery("box_1_2_3")
+        M = face_map(P)
+        edges = set(M.edges)
+
+        def length(u, v):
+            return np.linalg.norm(P.vertices[u] - P.vertices[v])
+
+        sigmas = [VertexPermutation(dict(zip(M.vertices, rng.permutation(M.vertices))))
+                  for _ in range(40)]
+        for sym in enumerate_symmetries(M):
+            word = list(sym.word)
+            i, j = rng.choice(len(word), 2, replace=False)
+            word[i], word[j] = word[j], word[i]
+            sigmas += [sym, VertexPermutation(dict(zip(M.vertices, word)))]
+        seen = set()
+        for sigma in sigmas:
+            images = [edge_key(sigma(u), sigma(v)) for u, v in M.edges]
+            # for each edge failing the test, in M.edges order: maps to an edge?
+            bad = [img in edges for (u, v), img in zip(M.edges, images)
+                   if img not in edges or abs(length(u, v) - length(*img)) > 1e-6]
+            if not bad:
+                assert is_edge_preserving(M, P.vertices, sigma)
+                seen.add("preserving")
+            elif not bad[0]:
+                with pytest.raises(PermutationNotASymmetry):
+                    is_edge_preserving(M, P.vertices, sigma)
+                seen.add("raises")
+            else:
+                assert is_edge_preserving(M, P.vertices, sigma) is False
+                seen.add("false" if all(bad) else "false after non-edge")
+        assert seen == {"preserving", "raises", "false", "false after non-edge"}
 
 
 class TestRealize:
@@ -232,6 +329,18 @@ class TestAnalyze:
             r.edge_preserving for r in scaled.records
         ]
         assert [r.realized for r in base.records] == [r.realized for r in scaled.records]
+
+    def test_memory_bounded(self):
+        P = gallery("prism:120")
+        M = face_map(P)
+        tracemalloc.start()
+        try:
+            report = analyze(M, P.vertices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.counts == (480, 480, 480)
+        assert peak < 32 * 2**20
 
     def test_orientation_preserving_subgroup(self, cube):
         report = analyze(face_map(cube), cube.vertices)

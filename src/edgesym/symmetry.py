@@ -103,8 +103,8 @@ class VertexPermutation:
 
 
 # Colour refinement stops after this many rounds even if cells still
-# split; on random spheres of 1000 and 3000 points the seed is alone in its
-# cell after a handful.
+# split; on a random sphere of 3000 points the seed is alone in its cell
+# after 6.
 _REFINE_ROUNDS = 16
 # Elements per numpy pass in flag replay and classification, which bounds
 # their memory whatever the group order.
@@ -114,7 +114,7 @@ _BLOCK = 1 << 18
 def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
     """Slices of about _BLOCK elements over rows of ``row_size`` elements;
     at least one, possibly empty."""
-    step = max(1, _BLOCK // max(1, row_size))
+    step = max(1, _BLOCK // row_size)
     return [slice(i, i + step) for i in range(0, max(n_rows, 1), step)]
 
 

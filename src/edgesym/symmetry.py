@@ -231,7 +231,8 @@ def enumerate_symmetries(M: CombinatorialMap) -> list[VertexPermutation]:
     keeps as candidate images only the flags that share the seed's colour;
     if the seed is alone in its cell the group is the identity. Otherwise
     all candidates are replayed together along the breadth-first tree of
-    the flag graph and the rows that commute with s0, s1 and s2 are kept.
+    the flag graph, and those whose flag maps commute with s0, s1 and s2
+    are kept.
     Plane-graph automorphisms must fix the outer face. Output is sorted by
     permutation word.
     """

@@ -7,6 +7,7 @@ from .geom import (
     DEFAULT_TOLERANCE,
     CircleFit,
     Isometry,
+    LabelledPoints,
     Tolerance,
     best_fit_isometry,
     circumradius_from_sides,
@@ -52,6 +53,7 @@ __all__ = [
     "EdgesymError",
     "IndexedPolytope",
     "Isometry",
+    "LabelledPoints",
     "SymmetryRecord",
     "SymmetryReport",
     "TheoremVerdict",

@@ -60,11 +60,8 @@ def _instances(args, tol):
 
 
 def _analyze_one(source, instance, tol):
-    if isinstance(instance, IndexedPolytope):
-        report = analyze(face_map(instance, tol), instance.vertices, tol, instance_id=source)
-    else:
-        report = analyze(instance.map, instance.vertices, tol, instance_id=source)
-    return report
+    M = face_map(instance, tol) if isinstance(instance, IndexedPolytope) else instance.map
+    return analyze(M, instance.vertices, tol, instance_id=source)
 
 
 def _verify_one(source, instance, tol):

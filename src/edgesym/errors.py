@@ -33,6 +33,10 @@ class DuplicateLabel(EdgesymError):
     """Two input points carry the same index label."""
 
 
+class NonFiniteCoordinate(EdgesymError):
+    """An input point has a NaN or infinite coordinate."""
+
+
 class NotFullDimensional(EdgesymError):
     """Point set has affine dimension below 3."""
 

@@ -1,8 +1,8 @@
 """Numeric geometry kernel.
 
-Tolerances, rigid isometries, least-squares alignment (orthogonal
-Procrustes), circle fitting with geometric refinement, and reconstruction
-of a convex polygon inscribed in a circle from its side lengths alone.
+Tolerances, labelled point sets, rigid isometries, least-squares alignment
+(orthogonal Procrustes), circle fitting with geometric refinement, and
+reconstruction of a convex inscribed polygon from its side lengths alone.
 
 All functions are pure; returned objects are immutable and safe to share
 between threads.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,10 @@ from .errors import (
     CollinearPoints,
     DegeneratePolygon,
     DimensionMismatch,
+    DuplicateLabel,
     LengthMismatch,
     NonCoplanarPoints,
+    NonFiniteCoordinate,
     PolygonInequality,
 )
 
@@ -29,6 +32,7 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOLERANCE",
     "Isometry",
+    "LabelledPoints",
     "CircleFit",
     "UnderdeterminedFitWarning",
     "CoarseToleranceWarning",
@@ -103,13 +107,79 @@ def _as_points(points, dims=(2, 3)) -> np.ndarray:
     return arr
 
 
+# Elements per numpy pass in the diameter, flag replay and classification,
+# which bounds their memory whatever the instance size or group order.
+_BLOCK = 1 << 18
+
+
+def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
+    """Slices of about _BLOCK elements over rows of ``row_size`` elements;
+    at least one, possibly empty."""
+    step = max(1, _BLOCK // row_size)
+    return [slice(i, i + step) for i in range(0, max(n_rows, 1), step)]
+
+
 def diameter_of(points) -> float:
-    """Largest pairwise distance within a point collection."""
+    """Largest pairwise distance within a point collection (NaN if a
+    coordinate is), over blocks of rows in O(n + _BLOCK) memory."""
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or len(arr) < 2:
         return 0.0
-    diff = arr[:, None, :] - arr[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=-1)).max())
+    if len(arr) * arr.size <= _BLOCK:  # one pass, as for every face polygon
+        diff = arr[:, None, :] - arr[None, :, :]
+        return float(np.sqrt((diff * diff).sum(axis=-1)).max())
+    best = -np.inf
+    for rows in _row_blocks(len(arr), arr.size):
+        diff = arr[rows, None, :] - arr[None, rows.start:, :]
+        best = np.maximum(best, np.sqrt((diff * diff).sum(axis=-1)).max())
+    return float(best)
+
+
+class LabelledPoints(Mapping):
+    """Read-only mapping from str label to point, built from a mapping or
+    from (label, point) pairs with unique labels and finite coordinates.
+    ``labels`` keeps insertion order, ``index`` maps a label to its row of
+    the read-only (n, d) float ``array``, and ``diameter`` is cached."""
+
+    __slots__ = ("labels", "index", "array", "_diameter")
+
+    def __init__(self, points):
+        pairs = list(points.items() if isinstance(points, Mapping) else points)
+        self.labels: tuple[str, ...] = tuple(str(l) for l, _ in pairs)
+        self.index = {l: i for i, l in enumerate(self.labels)}
+        if len(self.index) != len(pairs):
+            dup = next(l for i, l in enumerate(self.labels) if self.index[l] != i)
+            raise DuplicateLabel(f"label {dup!r} appears more than once")
+        self.array = np.array([p for _, p in pairs], dtype=float)
+        if not np.isfinite(self.array).all():
+            bad = next(l for l, p in zip(self.labels, self.array) if not np.isfinite(p).all())
+            raise NonFiniteCoordinate(f"point {bad!r} has a non-finite coordinate")
+        self.array.setflags(write=False)
+        self._diameter: float | None = None
+
+    @classmethod
+    def of(cls, points) -> "LabelledPoints":
+        """``points`` itself if it is a LabelledPoints, else a new one."""
+        return points if isinstance(points, cls) else cls(points)
+
+    def __getitem__(self, label) -> np.ndarray:
+        return self.array[self.index[label]]
+
+    def __iter__(self):
+        return iter(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def take(self, labels) -> np.ndarray:
+        """The points of ``labels``, in that order, as an array."""
+        return self.array.take([self.index[l] for l in labels], axis=0)
+
+    @property
+    def diameter(self) -> float:
+        if self._diameter is None:
+            self._diameter = diameter_of(self.array)
+        return self._diameter
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,10 +349,10 @@ def fit_circle(points, tol: Tolerance = DEFAULT_TOLERANCE) -> CircleFit:
     if normal[k] < 0:
         normal = -normal
     offsets = Q @ normal
-    if np.abs(offsets).max() > tol.fit_eps * diam:
+    if np.abs(offsets).max() > tol.fit_threshold(diam):
         raise NonCoplanarPoints(
             f"points deviate from their best plane by {np.abs(offsets).max():g} "
-            f"(limit {tol.fit_eps * diam:g})"
+            f"(limit {tol.fit_threshold(diam):g})"
         )
     u, w = Vt[0], Vt[1]
     xy = np.column_stack([Q @ u, Q @ w])
@@ -317,7 +387,7 @@ def is_inscribed(polygon, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, Cir
     if diam == 0 or polygon_area(P) <= 1e-12 * diam * diam:
         raise DegeneratePolygon("polygon has (numerically) zero area")
     fit = fit_circle(P, tol)
-    return fit.max_residual <= tol.fit_eps * diam, fit
+    return fit.max_residual <= tol.fit_threshold(diam), fit
 
 
 def _check_side_lengths(lengths) -> list[float]:

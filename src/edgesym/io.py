@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InputFormatError
-from .geom import Tolerance, diameter_of
+from .geom import DEFAULT_TOLERANCE, LabelledPoints, Tolerance
 from .maps import cycle_key
 from .planegraph import ConvexPlaneGraph, build_plane_graph
 from .polytope import IndexedPolytope, build_polytope, face_map
@@ -37,9 +37,7 @@ class OffFaceMismatchWarning(UserWarning):
 
 
 def _fmt_float(x: float) -> str:
-    s = format(float(x), ".17g")
-    # keep JSON-valid tokens ("nan"/"inf" never occur in well-formed reports)
-    return s
+    return format(float(x), ".17g")  # well-formed reports hold no "nan"/"inf"
 
 
 def canonical_json(obj) -> str:
@@ -86,12 +84,12 @@ class ReportDocument:
 def write_report(source: str, obj, tol: Tolerance, vertices) -> str:
     """Serialize a payload-bearing object (anything with to_dict) into the
     canonical report JSON."""
-    pts = list(vertices.values())
+    vertices = LabelledPoints.of(vertices)
     doc = ReportDocument(
         instance={
             "source": source,
-            "vertex_count": len(pts),
-            "diameter": diameter_of(pts),
+            "vertex_count": len(vertices),
+            "diameter": vertices.diameter,
         },
         tolerance=tol,
         payload=obj.to_dict(),
@@ -107,8 +105,6 @@ def parse_off(text: str, tol: Tolerance | None = None,
     ignored (faces are recomputed from the hull) but checked against the
     recomputed faces when present, warning on mismatch.
     """
-    from .geom import DEFAULT_TOLERANCE
-
     tol = tol or DEFAULT_TOLERANCE
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -197,15 +193,12 @@ def parse_off(text: str, tol: Tolerance | None = None,
 def write_off(P: IndexedPolytope, tol: Tolerance | None = None) -> str:
     """OFF text for a polytope: vertices in insertion order, faces
     recomputed from the hull."""
-    from .geom import DEFAULT_TOLERANCE
-
     tol = tol or DEFAULT_TOLERANCE
-    labels = list(P.vertices)
-    index = {l: i for i, l in enumerate(labels)}
+    index = P.vertices.index
     M = face_map(P, tol)
-    out = ["OFF", f"{len(labels)} {len(M.faces)} {len(M.edges)}"]
-    for l in labels:
-        out.append(" ".join(_fmt_float(x) for x in P.vertices[l]))
+    out = ["OFF", f"{len(index)} {len(M.faces)} {len(M.edges)}"]
+    for p in P.vertices.array:
+        out.append(" ".join(_fmt_float(x) for x in p))
     for f in M.faces:
         out.append(" ".join([str(len(f))] + [str(index[v]) for v in f]))
     return "\n".join(out) + "\n"
@@ -215,8 +208,6 @@ def parse_graph_json(text: str, tol: Tolerance | None = None,
                      source: str = "<graph>") -> ConvexPlaneGraph:
     """Parse {"vertices": [{"id", "x", "y"}, ...], "edges": [[a, b], ...]}
     into a validated convex plane graph."""
-    from .geom import DEFAULT_TOLERANCE
-
     tol = tol or DEFAULT_TOLERANCE
     try:
         doc = json.loads(text)

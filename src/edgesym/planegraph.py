@@ -20,20 +20,13 @@ from .errors import (
     DecompositionError,
     DimensionMismatch,
     Disconnected,
-    DuplicateLabel,
     EdgeCrossing,
     FaceNotOnBoundary,
     NonConvexBoundedFace,
     NonSimpleOuterBoundary,
     NotCombinatoriallyEquivalent,
 )
-from .geom import (
-    DEFAULT_TOLERANCE,
-    Isometry,
-    Tolerance,
-    best_fit_isometry,
-    diameter_of,
-)
+from .geom import DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, best_fit_isometry
 from .maps import CombinatorialMap, Edge, combinatorially_equivalent, edge_key
 
 __all__ = [
@@ -51,33 +44,18 @@ class ConvexPlaneGraph:
     """2D embedded graph with convex bounded faces and a distinguished
     outer face."""
 
-    vertices: dict[str, np.ndarray]
+    vertices: LabelledPoints
     edges: tuple[tuple[str, str], ...]
     map: CombinatorialMap
 
     def __post_init__(self) -> None:
-        frozen = {}
-        for label, p in self.vertices.items():
-            arr = np.array(p, dtype=float)
-            arr.setflags(write=False)
-            frozen[str(label)] = arr
-        object.__setattr__(self, "vertices", frozen)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.vertices)
-
-    def point_array(self, order=None) -> np.ndarray:
-        return np.array([self.vertices[l] for l in (order or self.labels)])
-
-    def diameter(self) -> float:
-        return diameter_of(self.point_array())
+        object.__setattr__(self, "vertices", LabelledPoints.of(self.vertices))
 
     def bounded_faces(self) -> list[int]:
         return [i for i in range(len(self.map.faces)) if i != self.map.outer_face]
 
     def face_polygon(self, fi: int) -> np.ndarray:
-        return np.array([self.vertices[l] for l in self.map.faces[fi]])
+        return self.vertices.take(self.map.faces[fi])
 
 
 def _signed_area(poly: np.ndarray) -> float:
@@ -191,25 +169,17 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
     cycle of negative signed area, and all convexity/simplicity invariants
     are checked.
     """
-    items = [(str(label), np.asarray(p, dtype=float)) for label, p in points]
-    labels = [label for label, _ in items]
-    seen: set[str] = set()
-    for label in labels:
-        if label in seen:
-            raise DuplicateLabel(f"label {label!r} appears more than once")
-        seen.add(label)
-    coords = np.array([p for _, p in items])
+    vertices = LabelledPoints(points)
+    labels, index, coords = vertices.labels, vertices.index, vertices.array
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise DimensionMismatch(f"expected (n, 2) coordinates, got shape {coords.shape}")
     if len(coords) < 3:
         raise ValueError(f"a plane graph needs at least 3 vertices, got {len(coords)}")
-    pos = {label: coords[i] for i, label in enumerate(labels)}
-    idx = {label: i for i, label in enumerate(labels)}
 
     edge_set: set[tuple[str, str]] = set()
     for u, v in edges:
         u, v = str(u), str(v)
-        if u not in pos or v not in pos:
+        if u not in index or v not in index:
             raise ValueError(f"edge ({u}, {v}) references an unknown vertex label")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
@@ -234,25 +204,23 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
         missing = sorted(set(labels) - reached)
         raise Disconnected(f"vertices {missing} are not connected to {labels[0]!r}")
 
-    diam = diameter_of(coords)
-    eps = tol.abs_eps + tol.rel_eps * diam
-    int_edges = [(idx[u], idx[v]) for u, v in sorted(edge_set)]
+    eps = tol.length_eps(vertices.diameter)
+    int_edges = [(index[u], index[v]) for u, v in sorted(edge_set)]
     _check_crossings(coords, int_edges, labels, eps)
 
     # rotation system: counterclockwise by angle, with a tie meaning two
     # overlapping collinear edges at a vertex
     adj: dict[str, list[str]] = {}
     for v, nbrs in neighbor_lists.items():
-        angles = sorted(
-            (math.atan2(pos[u][1] - pos[v][1], pos[u][0] - pos[v][0]), u) for u in nbrs
-        )
+        offsets = (vertices.take(nbrs) - coords[index[v]]).tolist()
+        angles = sorted((math.atan2(y, x), u) for u, (x, y) in zip(nbrs, offsets))
         for (a1, u1), (a2, u2) in zip(angles, angles[1:]):
             if a2 - a1 < 1e-12:
                 raise EdgeCrossing(f"edges ({v},{u1}) and ({v},{u2}) overlap at vertex {v}")
         adj[v] = [u for _, u in angles]
 
     cycles = _trace_faces(adj)
-    areas = [_signed_area(np.array([pos[l] for l in cyc])) for cyc in cycles]
+    areas = [_signed_area(vertices.take(cyc)) for cyc in cycles]
     negative = [i for i, a in enumerate(areas) if a < 0]
     if len(negative) != 1:
         raise NonSimpleOuterBoundary(
@@ -269,7 +237,7 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
             continue
         if len(set(cyc)) != len(cyc):
             raise NonConvexBoundedFace(f"bounded face walk {cyc} revisits a vertex")
-        poly = np.array([pos[l] for l in cyc])
+        poly = vertices.take(cyc)
         vecs = np.roll(poly, -1, axis=0) - poly
         for t in range(len(cyc)):
             a = vecs[t - 1]
@@ -281,7 +249,7 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
                 )
 
     cmap = CombinatorialMap(cycles, outer_face=outer)
-    return ConvexPlaneGraph(vertices=dict(items), edges=tuple(sorted(edge_set)), map=cmap)
+    return ConvexPlaneGraph(vertices=vertices, edges=tuple(sorted(edge_set)), map=cmap)
 
 
 class _Regions:
@@ -371,8 +339,9 @@ def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGr
         walk = [min(back)]
         while len(walk) < len(back):
             walk.append(back[walk[-1]])
+        labels = regions.vertices(region)
         pieces.append(ConvexPlaneGraph(
-            vertices={l: G.vertices[l] for l in regions.vertices(region)},
+            vertices=LabelledPoints(zip(labels, G.vertices.take(labels))),
             edges=tuple(sorted(edges)),
             map=CombinatorialMap(cycles + [walk], outer_face=len(cycles)),
         ))
@@ -381,9 +350,7 @@ def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGr
 
 def _fit_labels(g: ConvexPlaneGraph, h: ConvexPlaneGraph, labels,
                 tol: Tolerance) -> tuple[Isometry, float]:
-    src = np.array([g.vertices[l] for l in labels])
-    dst = np.array([h.vertices[l] for l in labels])
-    return best_fit_isometry(src, dst, allow_reflection=True, tol=tol)
+    return best_fit_isometry(g.vertices.take(labels), h.vertices.take(labels), tol=tol)
 
 
 def _assemble(g: _Regions, h: _Regions, rg, rh, tol: Tolerance,
@@ -418,7 +385,7 @@ def _assemble(g: _Regions, h: _Regions, rg, rh, tol: Tolerance,
         sub = _assemble(g, h, region, region_h, tol, threshold)
         if sub is None:
             return None
-        pts = G.point_array(g.vertices(region))
+        pts = G.vertices.take(g.vertices(region))
         gap = np.linalg.norm(rho.apply(pts) - sub.apply(pts), axis=1).max()
         if gap > threshold:
             return None
@@ -442,15 +409,14 @@ def assemble_congruence(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
         raise NotCombinatoriallyEquivalent(
             "identity on labels does not extend to a map isomorphism"
         )
-    diam = max(G.diameter(), H.diameter())
+    diam = max(G.vertices.diameter, H.vertices.diameter)
     threshold = tol.fit_threshold(diam)
     rho = _assemble(_Regions(G), _Regions(H), tuple(G.bounded_faces()),
                     tuple(H.bounded_faces()), tol, threshold)
     if rho is None:
         return None
     order = sorted(G.vertices)
-    src = G.point_array(order)
-    dst = H.point_array(order)
+    src, dst = G.vertices.take(order), H.vertices.take(order)
     if np.linalg.norm(rho.apply(src) - dst, axis=1).max() > threshold:
         return None
     direct, _ = best_fit_isometry(src, dst, allow_reflection=True, tol=tol)

@@ -15,12 +15,11 @@ import numpy as np
 from .errors import (
     DegenerateFaceMerge,
     DimensionMismatch,
-    DuplicateLabel,
     IndexSetMismatch,
     NonExtremePoint,
     NotFullDimensional,
 )
-from .geom import DEFAULT_TOLERANCE, Isometry, Tolerance, best_fit_isometry, diameter_of
+from .geom import DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, best_fit_isometry
 from .maps import CombinatorialMap
 
 __all__ = [
@@ -33,28 +32,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class IndexedPolytope:
-    """Vertex coordinates keyed by index labels; insertion order is kept so
-    file round-trips stay stable."""
+    """Vertex coordinates keyed by index labels, as a LabelledPoints;
+    insertion order is kept so file round-trips stay stable."""
 
-    vertices: dict[str, np.ndarray]
+    vertices: LabelledPoints
 
     def __post_init__(self) -> None:
-        frozen = {}
-        for label, p in self.vertices.items():
-            arr = np.array(p, dtype=float)
-            arr.setflags(write=False)
-            frozen[str(label)] = arr
-        object.__setattr__(self, "vertices", frozen)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.vertices)
-
-    def point_array(self, order=None) -> np.ndarray:
-        return np.array([self.vertices[l] for l in (order or self.labels)])
-
-    def diameter(self) -> float:
-        return diameter_of(self.point_array())
+        object.__setattr__(self, "vertices", LabelledPoints.of(self.vertices))
 
 
 def build_polytope(points, tol: Tolerance = DEFAULT_TOLERANCE) -> IndexedPolytope:
@@ -64,14 +48,8 @@ def build_polytope(points, tol: Tolerance = DEFAULT_TOLERANCE) -> IndexedPolytop
     vertices, nothing else), the affine dimension must be exactly 3, and
     labels must be unique.
     """
-    items = [(str(label), np.asarray(p, dtype=float)) for label, p in points]
-    labels = [label for label, _ in items]
-    seen = set()
-    for label in labels:
-        if label in seen:
-            raise DuplicateLabel(f"label {label!r} appears more than once")
-        seen.add(label)
-    coords = np.array([p for _, p in items])
+    vertices = LabelledPoints(points)
+    coords = vertices.array
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise DimensionMismatch(f"expected (n, 3) coordinates, got shape {coords.shape}")
     if len(coords) < 4:
@@ -83,12 +61,12 @@ def build_polytope(points, tol: Tolerance = DEFAULT_TOLERANCE) -> IndexedPolytop
 
     hull = ConvexHull(coords)
     hull_vertices = set(hull.vertices.tolist())
-    interior = sorted(labels[i] for i in range(len(labels)) if i not in hull_vertices)
+    interior = sorted(l for i, l in enumerate(vertices.labels) if i not in hull_vertices)
     if interior:
         raise NonExtremePoint(
             f"labelled point(s) {interior} are not vertices of the convex hull"
         )
-    return IndexedPolytope(dict(items))
+    return IndexedPolytope(vertices)
 
 
 def _chain_boundary(bound_edges: list[tuple[int, int]], group: list[int]) -> list[int]:
@@ -130,8 +108,7 @@ def face_map(P: IndexedPolytope, tol: Tolerance = DEFAULT_TOLERANCE) -> Combinat
     faces, and each face cycle is oriented counterclockwise viewed from
     outside. The result is independent of the input point order.
     """
-    labels = P.labels
-    pts = P.point_array()
+    labels, pts = P.vertices.labels, P.vertices.array
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(pts)
@@ -183,16 +160,15 @@ def congruent(P, Q, tol: Tolerance = DEFAULT_TOLERANCE) -> Isometry | None:
     labels, if its residual is within tolerance, else None.
 
     Works for any two objects exposing ``vertices`` as a label-to-point
-    mapping of equal dimension (polytopes or plane graphs).
+    mapping (a LabelledPoints, or any mapping, read through
+    ``LabelledPoints.of``) of equal dimension and equal label sets. The
+    threshold is ``fit_eps`` times the larger diameter.
     """
-    va, vb = P.vertices, Q.vertices
-    if set(va) != set(vb):
+    va, vb = LabelledPoints.of(P.vertices), LabelledPoints.of(Q.vertices)
+    if set(va.index) != set(vb.index):
         raise IndexSetMismatch(
-            f"index sets differ: {sorted(set(va) ^ set(vb))} not shared"
+            f"index sets differ: {sorted(set(va.index) ^ set(vb.index))} not shared"
         )
-    order = sorted(va)
-    src = np.array([va[l] for l in order])
-    dst = np.array([vb[l] for l in order])
-    iso, rmsd = best_fit_isometry(src, dst, allow_reflection=True, tol=tol)
-    diam = max(diameter_of(src), diameter_of(dst))
-    return iso if rmsd <= tol.fit_threshold(diam) else None
+    order = sorted(va.labels)
+    iso, rmsd = best_fit_isometry(va.take(order), vb.take(order), tol=tol)
+    return iso if rmsd <= tol.fit_threshold(max(va.diameter, vb.diameter)) else None

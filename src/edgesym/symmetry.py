@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PermutationNotASymmetry
-from .geom import DEFAULT_TOLERANCE, Isometry, Tolerance, _as_points, diameter_of
+from .errors import IndexSetMismatch, PermutationNotASymmetry
+from .geom import DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, _as_points, _row_blocks
 from .maps import CombinatorialMap
 
 __all__ = [
@@ -106,16 +106,6 @@ class VertexPermutation:
 # split; on a random sphere of 3000 points the seed is alone in its cell
 # after 6.
 _REFINE_ROUNDS = 16
-# Elements per numpy pass in flag replay and classification, which bounds
-# their memory whatever the group order.
-_BLOCK = 1 << 18
-
-
-def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
-    """Slices of about _BLOCK elements over rows of ``row_size`` elements;
-    at least one, possibly empty."""
-    step = max(1, _BLOCK // row_size)
-    return [slice(i, i + step) for i in range(0, max(n_rows, 1), step)]
 
 
 def _flag_colours(M: CombinatorialMap, seed: int) -> np.ndarray:
@@ -241,12 +231,17 @@ def enumerate_symmetries(M: CombinatorialMap) -> list[VertexPermutation]:
 
 class _Instance:
     """Point array, diameter and edge lengths of one instance, indexed like
-    ``M.vertices``; every symmetry of the instance is classified against it."""
+    ``M.vertices``, whose labels the ``coords`` mapping must carry exactly;
+    every symmetry of the instance is classified against it."""
 
     def __init__(self, M: CombinatorialMap, coords, tol: Tolerance):
         self.M, self.tol = M, tol
-        self.points = np.array([np.asarray(coords[l], dtype=float) for l in M.vertices])
-        self.diameter = diameter_of(self.points)
+        coords = LabelledPoints.of(coords)
+        if set(coords.index) != set(M.vertices):
+            unshared = sorted(set(coords.index) ^ set(M.vertices))
+            raise IndexSetMismatch(f"labels {unshared} are not shared by coordinates and map")
+        self.points = coords.take(M.vertices)
+        self.diameter = coords.diameter
         index = {l: i for i, l in enumerate(M.vertices)}
         self.ends = np.array([[index[u], index[v]] for u, v in M.edges])
         u, v = self.ends.T

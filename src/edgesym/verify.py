@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EdgesymError
 from .gallery import twisted_squares
-from .geom import DEFAULT_TOLERANCE, Tolerance, is_inscribed
+from .geom import DEFAULT_TOLERANCE, LabelledPoints, Tolerance, is_inscribed
 from .maps import CombinatorialMap
 from .planegraph import ConvexPlaneGraph, build_plane_graph
 from .polytope import IndexedPolytope, build_polytope, face_map
@@ -79,13 +79,12 @@ def _classify(hyp: bool, concl: bool) -> str:
     return CLASS_FAILS_FAILS
 
 
-def _verdict(M: CombinatorialMap, coords, face_indices, tol: Tolerance,
+def _verdict(M: CombinatorialMap, coords: LabelledPoints, face_indices, tol: Tolerance,
              instance_id: str) -> TheoremVerdict:
     hyp = True
     worst = 0.0
     for fi in face_indices:
-        polygon = np.array([coords[l] for l in M.faces[fi]])
-        ok, fit = is_inscribed(polygon, tol)
+        ok, fit = is_inscribed(coords.take(M.faces[fi]), tol)
         worst = max(worst, fit.max_residual)
         hyp = hyp and ok
     report = analyze(M, coords, tol, instance_id=instance_id)
@@ -197,5 +196,5 @@ def twisted_squares_check(s_out: float, s_in: float, alpha_deg: float,
     return TwistedSquaresReport(
         len_twisted=len_twisted,
         len_forced=len_forced,
-        refuted=bool(gap > tol.length_eps(G.diameter())),
+        refuted=bool(gap > tol.length_eps(G.vertices.diameter)),
     )

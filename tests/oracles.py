@@ -97,6 +97,17 @@ def propagation_equivalent(a, b):
     return False
 
 
+def one_pass_diameter(points):
+    """Largest pairwise distance read off the full n x n x d difference
+    array in one pass, with the same per-pair arithmetic as
+    ``diameter_of``."""
+    arr = np.asarray(points, dtype=float)
+    if arr.ndim != 2 or len(arr) < 2:
+        return 0.0
+    diff = arr[:, None, :] - arr[None, :, :]
+    return float(np.sqrt((diff * diff).sum(axis=-1)).max())
+
+
 def edges_of_faces(faces):
     out = set()
     for f in faces:

@@ -100,7 +100,7 @@ def test_criterion_2_polytope_theorem_suite():
     for name, P in instances:
         v = verify_polytope_theorem(P, instance_id=name)
         assert v.classification != CLASS_VIOLATION, name
-        diam = P.diameter()
+        diam = P.vertices.diameter
         for rec in v.report.records:
             if rec.realized:
                 assert rec.rmsd < 1e-6 * diam, (name, rec.sigma.cycle_notation())
@@ -201,12 +201,12 @@ def test_criterion_6_constructive_congruence_assembly():
         H = build_plane_graph([(l, R @ p + t) for l, p in G.vertices.items()], G.edges)
         iso = assemble_congruence(G, H)
         assert iso is not None, i
-        diam = G.diameter()
-        pts = G.point_array(sorted(G.vertices))
+        diam = G.vertices.diameter
+        pts = G.vertices.take(sorted(G.vertices))
         expected = pts @ R.T + t
         err = np.linalg.norm(iso.apply(pts) - expected, axis=1).max()
         assert err < 1e-8 * diam, i
-        direct, _ = best_fit_isometry(pts, H.point_array(sorted(H.vertices)))
+        direct, _ = best_fit_isometry(pts, H.vertices.take(sorted(H.vertices)))
         gap = np.linalg.norm(iso.apply(pts) - direct.apply(pts), axis=1).max()
         assert gap < 1e-8 * diam, i
         worst = max(worst, err / diam, gap / diam)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -104,6 +105,26 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["off", "json"])
+    def test_non_finite_coordinate_is_input_error(self, capsys, tmp_path, kind, value):
+        path = tmp_path / f"bad.{kind}"
+        if kind == "off":
+            path.write_text(f"OFF\n4 0 0\n0 0 0\n1 0 0\n0 1 0\n0 0 {value}\n")
+        else:
+            path.write_text(json.dumps({
+                "vertices": [{"id": "a", "x": 0, "y": 0}, {"id": "b", "x": 1, "y": 0},
+                             {"id": "c", "x": value, "y": 1}],
+                "edges": [["a", "b"], ["b", "c"], ["c", "a"]],
+            }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite coordinate" in err
 
     def test_tol_scaling_echoed(self, capsys):
         code, out, _ = run(capsys, "verify", "--gallery", "cube", "--tol", "10")

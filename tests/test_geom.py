@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from edgesym.errors import (
     CollinearPoints,
     DegeneratePolygon,
     DimensionMismatch,
+    DuplicateLabel,
     LengthMismatch,
     NonCoplanarPoints,
+    NonFiniteCoordinate,
     PolygonInequality,
 )
 from edgesym.geom import (
     Isometry,
+    LabelledPoints,
     Tolerance,
     UnderdeterminedFitWarning,
     best_fit_isometry,
@@ -24,7 +28,13 @@ from edgesym.geom import (
     is_inscribed,
     reconstruct_inscribed_polygon,
 )
-from oracles import heron_circumradius, random_inscribed_polygon, rotation2, side_lengths
+from oracles import (
+    heron_circumradius,
+    one_pass_diameter,
+    random_inscribed_polygon,
+    rotation2,
+    side_lengths,
+)
 
 UNIT_CUBE = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
 
@@ -49,6 +59,66 @@ class TestTolerance:
         assert t.fit_eps == pytest.approx(1e-5)
         with pytest.raises(ValueError):
             Tolerance().scaled(0.0)
+
+
+class TestDiameter:
+    @pytest.mark.parametrize("n", [2, 3, 8, 257, 1000])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bit_identical_to_one_pass(self, n, d):
+        rng = np.random.default_rng(10 * n + d)
+        cloud = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0)
+        expected = one_pass_diameter(cloud)
+        assert diameter_of(cloud) == expected
+        assert diameter_of(cloud[rng.permutation(n)]) == expected
+
+    @pytest.mark.parametrize("n", [3, 257, 1000])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_nan_propagates(self, n, first):
+        # row 0 meets only the first block, row n-1 every block
+        cloud = np.random.default_rng(n).normal(size=(n, 3))
+        cloud[0 if first else n - 1, 1] = np.nan
+        assert math.isnan(one_pass_diameter(cloud))
+        assert math.isnan(diameter_of(cloud))
+
+    def test_memory_bounded(self):
+        cloud = np.random.default_rng(3).normal(size=(3000, 3))
+        tracemalloc.start()
+        try:
+            diameter_of(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+class TestLabelledPoints:
+    def test_read_only_mapping(self):
+        pts = LabelledPoints([("b", (0, 0)), (7, (3.0, 4.0))])
+        assert pts.labels == ("b", "7") and list(pts) == ["b", "7"] and len(pts) == 2
+        assert pts.index == {"b": 0, "7": 1}
+        assert np.array_equal(pts["7"], [3.0, 4.0])
+        assert np.array_equal(pts.take(["7", "b", "7"]), [[3, 4], [0, 0], [3, 4]])
+        assert pts.array.shape == (2, 2) and pts.diameter == 5.0
+        assert "b" in pts and "x" not in pts
+        assert {l: p.tolist() for l, p in pts.items()} == {"b": [0, 0], "7": [3, 4]}
+        with pytest.raises(ValueError):
+            pts.array[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            pts["b"][0] = 1.0
+
+    def test_of_coerces_mappings_once(self):
+        pts = LabelledPoints.of({"a": [0, 0, 0], "b": [1, 2, 2]})
+        assert LabelledPoints.of(pts) is pts
+        assert pts.labels == ("a", "b") and pts.diameter == 3.0
+
+    def test_duplicate_label(self):
+        with pytest.raises(DuplicateLabel):
+            LabelledPoints([("1", (0, 0)), (1, (1, 1))])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate(self, bad):
+        with pytest.raises(NonFiniteCoordinate, match="'q'"):
+            LabelledPoints([("p", (0, 0, 0)), ("q", (0, bad, 0))])
 
 
 class TestBestFitIsometry:

@@ -42,15 +42,15 @@ SQUARE_JSON = (
 class TestOff:
     def test_cube_labels(self):
         P = parse_off(CUBE_OFF)
-        assert P.labels == tuple(str(i) for i in range(8))
+        assert P.vertices.labels == tuple(str(i) for i in range(8))
         assert np.allclose(P.vertices["6"], [1, 1, 1])
 
     def test_round_trip(self):
         P = parse_off(CUBE_OFF)
         text = write_off(P)
         Q = parse_off(text)
-        assert Q.labels == P.labels
-        for l in P.labels:
+        assert Q.vertices.labels == P.vertices.labels
+        for l in P.vertices.labels:
             assert np.allclose(P.vertices[l], Q.vertices[l])
         assert write_off(Q) == text
 

@@ -227,9 +227,9 @@ class TestAssembleCongruence:
         assert iso is not None
         assert iso.orientation == -1
         direct, _ = best_fit_isometry(
-            G.point_array(sorted(G.vertices)), H.point_array(sorted(H.vertices))
+            G.vertices.take(sorted(G.vertices)), H.vertices.take(sorted(H.vertices))
         )
-        pts = G.point_array(sorted(G.vertices))
+        pts = G.vertices.take(sorted(G.vertices))
         assert np.linalg.norm(iso.apply(pts) - direct.apply(pts), axis=1).max() < 1e-10
 
     def test_near_miss_rectangle(self):

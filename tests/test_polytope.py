@@ -23,7 +23,7 @@ class TestBuildPolytope:
     def test_cube_is_valid(self):
         P = build_polytope(CUBE_POINTS)
         assert len(P.vertices) == 8
-        assert P.diameter() == pytest.approx(math.sqrt(3))
+        assert P.vertices.diameter == pytest.approx(math.sqrt(3))
 
     def test_interior_point_rejected(self):
         with pytest.raises(NonExtremePoint, match="9"):
@@ -98,7 +98,7 @@ class TestFaceMap:
 
     def test_faces_ccw_from_outside(self, cube):
         M = face_map(cube)
-        centroid = cube.point_array().mean(axis=0)
+        centroid = cube.vertices.array.mean(axis=0)
         for f in M.faces:
             pts = np.array([cube.vertices[l] for l in f])
             ref = pts.mean(axis=0)

@@ -6,7 +6,7 @@ import pytest
 
 from edgesym import gallery, symmetry
 from edgesym.gallery import gallery_names
-from edgesym.errors import PermutationNotASymmetry
+from edgesym.errors import IndexSetMismatch, NonFiniteCoordinate, PermutationNotASymmetry
 from edgesym.maps import edge_key
 from edgesym.planegraph import ConvexPlaneGraph
 from edgesym.polytope import face_map
@@ -166,6 +166,36 @@ def test_graph_automorphisms_are_map_automorphisms(spec):
         for m in nx.isomorphism.GraphMatcher(G, G).isomorphisms_iter()
     }
     assert words(enumerate_symmetries(M)) == oracle
+
+
+class TestCoordinates:
+    """The label-to-point mapping every classification reads."""
+
+    CALLS = {
+        "is_edge_preserving": lambda M, coords, sigma: is_edge_preserving(M, coords, sigma),
+        "realize": lambda M, coords, sigma: realize(M, coords, sigma),
+        "analyze": lambda M, coords, sigma: analyze(M, coords),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_label_set_must_match_map(self, cube, call, change):
+        M = face_map(cube)
+        coords = dict(cube.vertices)
+        if change == "missing":
+            del coords[M.vertices[0]]
+        else:
+            coords["extra"] = np.zeros(3)
+        with pytest.raises(IndexSetMismatch):
+            self.CALLS[call](M, coords, VertexPermutation.identity(M.vertices))
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_non_finite_coordinate_rejected(self, cube, call):
+        M = face_map(cube)
+        coords = dict(cube.vertices)
+        coords[M.vertices[0]] = np.array([np.nan, 0.0, 0.0])
+        with pytest.raises(NonFiniteCoordinate):
+            self.CALLS[call](M, coords, VertexPermutation.identity(M.vertices))
 
 
 class TestEdgePreserving:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from edgesym import gallery
+from edgesym import gallery, geom, io, planegraph, polytope, symmetry, verify
 from edgesym.errors import InvalidGalleryParameter, UnknownGalleryName
-from edgesym.geom import best_fit_isometry, diameter_of
+from edgesym.geom import DEFAULT_TOLERANCE, best_fit_isometry, diameter_of
 from edgesym.verify import (
     CLASS_APPLIES,
     CLASS_FAILS_FAILS,
@@ -63,6 +63,23 @@ class TestPolytopeVerdicts:
                     assert rmsd < 1e-9
 
 
+def test_instance_diameter_computed_once(monkeypatch):
+    P = random_inscribed_polytope(200, seed=7)
+    sizes = []
+
+    def counting(points):
+        sizes.append(len(points))
+        return diameter_of(points)
+
+    for module in (geom, io, planegraph, polytope, symmetry, verify):
+        if hasattr(module, "diameter_of"):
+            monkeypatch.setattr(module, "diameter_of", counting)
+    verdict = verify_polytope_theorem(P)
+    io.write_report("sphere", verdict, DEFAULT_TOLERANCE, P.vertices)
+    assert sizes.count(200) == 1
+    assert set(sizes) == {3, 200}  # the rest are per-face fits of triangles
+
+
 class TestGraphVerdicts:
     def test_parallelogram_fails_fails(self):
         v = verify_graph_theorem(gallery("parallelogram"))
@@ -90,7 +107,7 @@ class TestGraphVerdicts:
 class TestRandomInscribedPolytope:
     def test_vertices_on_unit_sphere(self):
         P = random_inscribed_polytope(30, seed=7)
-        radii = np.linalg.norm(P.point_array(), axis=1)
+        radii = np.linalg.norm(P.vertices.array, axis=1)
         assert np.abs(radii - 1.0).max() < 1e-12
 
     def test_tetrahedron_case(self):
@@ -107,7 +124,7 @@ class TestRandomInscribedPolytope:
     def test_determinism(self):
         a = random_inscribed_polytope(15, seed=3)
         b = random_inscribed_polytope(15, seed=3)
-        assert np.array_equal(a.point_array(), b.point_array())
+        assert np.array_equal(a.vertices.array, b.vertices.array)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -123,7 +140,7 @@ class TestRandomTriangulation:
         a = random_triangulation(12, seed=8)
         b = random_triangulation(12, seed=8)
         assert a.map == b.map
-        assert np.array_equal(a.point_array(), b.point_array())
+        assert np.array_equal(a.vertices.array, b.vertices.array)
 
 
 class TestTwistedSquares:

@@ -171,6 +171,13 @@ class LabelledPoints(Mapping):
     def __len__(self) -> int:
         return len(self.labels)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return len(other) == len(self) and all(
+            l in other and np.array_equal(p, other[l]) for l, p in zip(self.labels, self.array)
+        )
+
     def take(self, labels) -> np.ndarray:
         """The points of ``labels``, in that order, as an array."""
         return self.array.take([self.index[l] for l in labels], axis=0)
@@ -335,7 +342,11 @@ def fit_circle(points, tol: Tolerance = DEFAULT_TOLERANCE) -> CircleFit:
     P = _as_points(points)
     if len(P) < 3:
         raise CollinearPoints("need at least 3 points to fit a circle")
-    diam = diameter_of(P)
+    return _fit_circle(P, diameter_of(P), tol)
+
+
+def _fit_circle(P: np.ndarray, diam: float, tol: Tolerance) -> CircleFit:
+    """``fit_circle`` on at least 3 points of known diameter ``diam``."""
     if diam == 0:
         raise CollinearPoints("all points coincide")
     if P.shape[1] == 2:
@@ -386,7 +397,7 @@ def is_inscribed(polygon, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, Cir
     diam = diameter_of(P)
     if diam == 0 or polygon_area(P) <= 1e-12 * diam * diam:
         raise DegeneratePolygon("polygon has (numerically) zero area")
-    fit = fit_circle(P, tol)
+    fit = _fit_circle(P, diam, tol)
     return fit.max_residual <= tol.fit_threshold(diam), fit
 
 

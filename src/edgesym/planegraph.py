@@ -63,7 +63,13 @@ def _signed_area(poly: np.ndarray) -> float:
     return 0.5 * float((poly[:, 0] * nxt[:, 1] - poly[:, 1] * nxt[:, 0]).sum())
 
 
-_PAIR_BLOCK = 1 << 16  # edge pairs tested at once; bounds the temporaries
+_PAIR_BLOCK = 1 << 16  # candidate pairs tested at once; bounds the temporaries
+_MAX_CELLS = 16  # grid cells a short edge's box may cover
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The runs start[k], ..., start[k] + count[k] - 1, concatenated."""
+    return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(int(count.sum()))
 
 
 def _first_bad_pair(coords: np.ndarray, ea: np.ndarray, eb: np.ndarray,
@@ -110,24 +116,65 @@ def _first_bad_pair(coords: np.ndarray, ea: np.ndarray, eb: np.ndarray,
 
 def _check_crossings(coords: np.ndarray, edges: list[tuple[int, int]],
                      names: list[str], eps: float) -> None:
-    # Pairs (i, j), i < j, are tested in row-major order, in blocks of whole
-    # rows holding about _PAIR_BLOCK pairs, so the first bad pair is the
-    # first in pair order and memory stays O(E + _PAIR_BLOCK).
+    # Two edges can only cross or touch if their boxes meet once each is
+    # padded by its edge's hit radius eps·max(length, 1). The boxes are
+    # binned on a uniform grid with cells of the median padded box size. A
+    # box covering more than _MAX_CELLS cells stays off the grid, and its
+    # edge is paired with every edge, so the grid holds at most
+    # _MAX_CELLS·E entries. Each candidate pair (i, j), i < j, lies in a run:
+    # the short edges after i in a cell they share, every edge after a long
+    # i, or the long edges after a short i. Runs are expanded in blocks of
+    # whole rows i holding about _PAIR_BLOCK pairs, then sorted and deduped,
+    # so the first bad pair is the first in pair order and memory stays
+    # O(E + _PAIR_BLOCK). With one cell, every pair is tested.
     m = len(edges)
     ea = np.array([e[0] for e in edges])
     eb = np.array([e[1] for e in edges])
     vec = coords[eb] - coords[ea]
     length = np.linalg.norm(vec, axis=1)
-    row_ends = np.cumsum(np.arange(m - 1, 0, -1))  # pairs in rows 0..i
+    pad = eps * np.maximum(length, 1.0)[:, None]
+    lo = np.minimum(coords[ea], coords[eb]) - pad
+    hi = np.maximum(coords[ea], coords[eb]) + pad
+    origin = lo.min(axis=0)
+    span = float((hi.max(axis=0) - origin).max())
+    cell = max(float(np.median((hi - lo).max(axis=1))), span / 2**26)  # keys below 2**53
+    c0 = np.floor((lo - origin) / cell).astype(np.int64)
+    c1 = np.floor((hi - origin) / cell).astype(np.int64)
+    width = c1 - c0 + 1
+    covered = width[:, 0] * width[:, 1]
+    short = np.flatnonzero(covered <= _MAX_CELLS)
+    long_ = np.flatnonzero(covered > _MAX_CELLS)
+
+    # grid entries of the short edges, sorted by cell, then by edge
+    edge = np.repeat(short, covered[short])
+    t = _ranges(np.zeros_like(short), covered[short])
+    cx = c0[edge, 0] + t % width[edge, 0]
+    cy = c0[edge, 1] + t // width[edge, 0]
+    key = cx * (int(c1[:, 1].max()) + 1) + cy
+    order = np.argsort(key, kind="stable")
+    key, edge = key[order], edge[order]
+    k = np.arange(len(edge))
+    cell_end = np.searchsorted(key, key, side="right")
+
+    # runs (row, start, count) into seq = grid entries | all edges | long edges
+    seq = np.concatenate([edge, np.arange(m), long_])
+    later_long = np.searchsorted(long_, short, side="right")
+    row = np.concatenate([edge, long_, short])
+    start = np.concatenate([k + 1, len(edge) + long_ + 1, len(edge) + m + later_long])
+    count = np.concatenate([cell_end - k - 1, m - 1 - long_, len(long_) - later_long])
+    order = np.argsort(row, kind="stable")
+    row, start, count = row[order], start[order], count[order]
+    row_ends = np.cumsum(np.bincount(row, weights=count, minlength=m)).astype(np.int64)
+    first_run = np.searchsorted(row, np.arange(m + 1))
     r0 = 0
-    while r0 < m - 1:
+    while r0 < m:
         done = int(row_ends[r0 - 1]) if r0 else 0
         r1 = max(r0 + 1, int(np.searchsorted(row_ends, done + _PAIR_BLOCK, side="right")))
-        rows = np.arange(r0, r1)
-        counts = m - 1 - rows
-        ii = np.repeat(rows, counts)
-        jj = ii + 1 + np.arange(len(ii)) - np.repeat(np.cumsum(counts) - counts, counts)
-        pair = _first_bad_pair(coords, ea, eb, vec, length, ii, jj, eps)
+        runs = slice(first_run[r0], first_run[r1])
+        ii = np.repeat(row[runs], count[runs])
+        code = np.sort(ii * m + seq[_ranges(start[runs], count[runs])])
+        code = code[np.diff(code, prepend=-1) != 0]
+        pair = _first_bad_pair(coords, ea, eb, vec, length, code // m, code % m, eps)
         if pair is not None:
             e1, e2 = edges[pair[0]], edges[pair[1]]
             n1 = (names[e1[0]], names[e1[1]])

@@ -181,3 +181,68 @@ def random_inscribed_polygon(rng, n, force_outside=False):
 def side_lengths(polygon):
     nxt = np.roll(polygon, -1, axis=0)
     return np.linalg.norm(nxt - polygon, axis=1)
+
+
+def _first_bad_pair(coords, ea, eb, vec, length, ii, jj, eps):
+    shared = (
+        (ea[ii] == ea[jj]) | (ea[ii] == eb[jj]) | (eb[ii] == ea[jj]) | (eb[ii] == eb[jj])
+    )
+    ii, jj = ii[~shared], jj[~shared]
+    if len(ii) == 0:
+        return None
+    p1, p2 = coords[ea[ii]], coords[eb[ii]]
+    q1, q2 = coords[ea[jj]], coords[eb[jj]]
+
+    def against(pt, a, e):
+        ab, seg_len = vec[e], length[e]
+        ap = pt - a
+        side = ab[:, 0] * ap[:, 1] - ab[:, 1] * ap[:, 0]
+        t = np.clip((ap * ab).sum(axis=1) / np.maximum(seg_len**2, 1e-300), 0.0, 1.0)
+        closest = a + t[:, None] * ab
+        return side, np.linalg.norm(pt - closest, axis=1) <= eps * np.maximum(seg_len, 1.0)
+
+    d1, hit1 = against(p1, q1, jj)
+    d2, hit2 = against(p2, q1, jj)
+    d3, hit3 = against(q1, p1, ii)
+    d4, hit4 = against(q2, p1, ii)
+    tq = eps * length[jj]
+    tp = eps * length[ii]
+    proper = (
+        (((d1 > tq) & (d2 < -tq)) | ((d1 < -tq) & (d2 > tq)))
+        & (((d3 > tp) & (d4 < -tp)) | ((d3 < -tp) & (d4 > tp)))
+    )
+    bad = proper | hit1 | hit2 | hit3 | hit4
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    return int(ii[k]), int(jj[k])
+
+
+def all_pairs_first_crossing(coords, edges, names, eps, block=1 << 16):
+    """The ``EdgeCrossing`` message of the first pair (i, j), i < j, of
+    edges (index pairs into ``coords``) without a shared endpoint that cross
+    or touch within ``eps``, or None. Tests every pair, in row blocks of
+    about ``block`` pairs: the plane-graph crossing check before it
+    selected candidate pairs on a grid."""
+    m = len(edges)
+    ea = np.array([e[0] for e in edges])
+    eb = np.array([e[1] for e in edges])
+    vec = coords[eb] - coords[ea]
+    length = np.linalg.norm(vec, axis=1)
+    row_ends = np.cumsum(np.arange(m - 1, 0, -1))
+    r0 = 0
+    while r0 < m - 1:
+        done = int(row_ends[r0 - 1]) if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(row_ends, done + block, side="right")))
+        rows = np.arange(r0, r1)
+        counts = m - 1 - rows
+        ii = np.repeat(rows, counts)
+        jj = ii + 1 + np.arange(len(ii)) - np.repeat(np.cumsum(counts) - counts, counts)
+        pair = _first_bad_pair(coords, ea, eb, vec, length, ii, jj, eps)
+        if pair is not None:
+            e1, e2 = edges[pair[0]], edges[pair[1]]
+            n1 = (names[e1[0]], names[e1[1]])
+            n2 = (names[e2[0]], names[e2[1]])
+            return f"edges {n1} and {n2} intersect away from shared endpoints"
+        r0 = r1
+    return None

@@ -111,6 +111,15 @@ class TestLabelledPoints:
         assert LabelledPoints.of(pts) is pts
         assert pts.labels == ("a", "b") and pts.diameter == 3.0
 
+    def test_equality_is_mapping_equality(self):
+        pts = LabelledPoints([("a", (0, 0)), ("b", (1.5, 2.0)), ("c", (3, -1))])
+        assert pts == pts
+        assert pts == {"c": [3, -1], "a": (0, 0), "b": np.array([1.5, 2.0])}
+        assert pts != {"a": (0, 0), "b": (1.5, 2.0 + 1e-12), "c": (3, -1)}
+        assert pts != {"a": (0, 0), "b": (1.5, 2.0)}
+        with pytest.raises(TypeError):
+            hash(pts)
+
     def test_duplicate_label(self):
         with pytest.raises(DuplicateLabel):
             LabelledPoints([("1", (0, 0)), (1, (1, 1))])

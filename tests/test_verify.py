@@ -80,6 +80,20 @@ def test_instance_diameter_computed_once(monkeypatch):
     assert set(sizes) == {3, 200}  # the rest are per-face fits of triangles
 
 
+def test_face_diameter_computed_once_per_face(monkeypatch):
+    P = random_inscribed_polytope(200, seed=7)
+    sizes = []
+
+    def counting(points):
+        sizes.append(len(points))
+        return diameter_of(points)
+
+    faces = len(polytope.face_map(P).faces)
+    monkeypatch.setattr(geom, "diameter_of", counting)
+    verify_polytope_theorem(P)
+    assert len([s for s in sizes if s < 200]) == faces == 396
+
+
 class TestGraphVerdicts:
     def test_parallelogram_fails_fails(self):
         v = verify_graph_theorem(gallery("parallelogram"))

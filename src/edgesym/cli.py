@@ -155,11 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, multi_input=False):
-        if multi_input:
-            p.add_argument("input", nargs="*", help="OFF or graph-JSON file(s)")
-        else:
-            p.add_argument("input", nargs="*", help="OFF or graph-JSON file")
+    def common(p):
+        p.add_argument("input", nargs="*", help="OFF or graph-JSON file(s)")
         p.add_argument("--gallery", help="built-in instance, e.g. cube or prism:6")
         p.add_argument("--tol", type=float, default=1.0,
                        help="scale factor applied to all default tolerances")
@@ -170,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="theorem verdict (exit 3 on violation)")
-    common(p_verify, multi_input=True)
+    common(p_verify)
     p_verify.add_argument("--random", type=int, metavar="N",
                           help="random polytope inscribed in the unit sphere")
     p_verify.add_argument("--seed", type=int, default=None)

@@ -50,7 +50,7 @@ class IndexSetMismatch(EdgesymError):
 
 
 class DegenerateFaceMerge(EdgesymError):
-    """Coplanar-facet merging produced a broken boundary chain."""
+    """Coplanar-facet merging produced a face without one simple boundary cycle."""
 
 
 class EdgeCrossing(EdgesymError):

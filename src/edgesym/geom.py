@@ -125,9 +125,6 @@ def diameter_of(points) -> float:
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or len(arr) < 2:
         return 0.0
-    if len(arr) * arr.size <= _BLOCK:  # one pass, as for every face polygon
-        diff = arr[:, None, :] - arr[None, :, :]
-        return float(np.sqrt((diff * diff).sum(axis=-1)).max())
     best = -np.inf
     for rows in _row_blocks(len(arr), arr.size):
         diff = arr[rows, None, :] - arr[None, rows.start:, :]
@@ -242,8 +239,7 @@ class Isometry:
         }
 
 
-def best_fit_isometry(src, dst, allow_reflection: bool = True,
-                      tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[Isometry, float]:
+def best_fit_isometry(src, dst, allow_reflection: bool = True) -> tuple[Isometry, float]:
     """Least-squares rigid alignment of matched point sets (Kabsch/Procrustes).
 
     Minimizes sum |rho(src_i) - dst_i|^2 over rotations, or over all

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 
 from .errors import InputFormatError
 from .geom import DEFAULT_TOLERANCE, LabelledPoints, Tolerance
@@ -19,7 +18,6 @@ from .polytope import IndexedPolytope, build_polytope, face_map
 
 __all__ = [
     "OffFaceMismatchWarning",
-    "ReportDocument",
     "SCHEMA_VERSION",
     "canonical_json",
     "parse_graph_json",
@@ -59,42 +57,26 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
 
-@dataclass(frozen=True)
-class ReportDocument:
-    """Envelope written by the CLI: instance metadata, tolerance echo, and
-    the payload (a symmetry report or a theorem verdict)."""
-
-    instance: dict
-    tolerance: Tolerance
-    payload: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "instance": self.instance,
-            "tolerance": {
-                "abs_eps": self.tolerance.abs_eps,
-                "rel_eps": self.tolerance.rel_eps,
-                "fit_eps": self.tolerance.fit_eps,
-            },
-            "payload": self.payload,
-        }
-
-
 def write_report(source: str, obj, tol: Tolerance, vertices) -> str:
     """Serialize a payload-bearing object (anything with to_dict) into the
-    canonical report JSON."""
+    canonical report JSON: instance metadata, tolerance echo, and the
+    payload (a symmetry report or a theorem verdict)."""
     vertices = LabelledPoints.of(vertices)
-    doc = ReportDocument(
-        instance={
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "instance": {
             "source": source,
             "vertex_count": len(vertices),
             "diameter": vertices.diameter,
         },
-        tolerance=tol,
-        payload=obj.to_dict(),
-    )
-    return canonical_json(doc.to_dict()) + "\n"
+        "tolerance": {
+            "abs_eps": tol.abs_eps,
+            "rel_eps": tol.rel_eps,
+            "fit_eps": tol.fit_eps,
+        },
+        "payload": obj.to_dict(),
+    }
+    return canonical_json(doc) + "\n"
 
 
 def parse_off(text: str, tol: Tolerance | None = None,

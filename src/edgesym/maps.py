@@ -20,6 +20,7 @@ __all__ = [
     "CombinatorialMap",
     "Edge",
     "canonical_cycle",
+    "chain_cycle",
     "combinatorially_equivalent",
     "cycle_key",
     "edge_key",
@@ -37,6 +38,21 @@ def canonical_cycle(cycle) -> tuple[str, ...]:
     seq = tuple(cycle)
     i = seq.index(min(seq))
     return seq[i:] + seq[:i]
+
+
+def chain_cycle(pairs) -> list | None:
+    """The cycle u, succ(u), succ(succ(u)), ... read from the smallest tail
+    u of the (tail, head) pairs, or None unless they form one simple cycle."""
+    pairs = list(pairs)
+    succ = dict(pairs)
+    if not succ or len(succ) != len(pairs):
+        return None
+    start = min(succ)
+    cycle, cur = [start], succ[start]
+    while cur != start and len(cycle) < len(succ):
+        cycle.append(cur)
+        cur = succ.get(cur)
+    return cycle if cur == start and len(cycle) == len(succ) else None
 
 
 def cycle_key(cycle) -> tuple[str, ...]:

@@ -27,7 +27,7 @@ from .errors import (
     NotCombinatoriallyEquivalent,
 )
 from .geom import DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, best_fit_isometry
-from .maps import CombinatorialMap, Edge, combinatorially_equivalent, edge_key
+from .maps import CombinatorialMap, Edge, chain_cycle, combinatorially_equivalent, edge_key
 
 __all__ = [
     "ConvexPlaneGraph",
@@ -381,11 +381,8 @@ def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGr
         boundary = regions.boundary(region)
         # bounded faces run counterclockwise, so the clockwise outer walk
         # reads each boundary edge backwards
-        back = {b: a for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])
-                if edge_key(a, b) in boundary}
-        walk = [min(back)]
-        while len(walk) < len(back):
-            walk.append(back[walk[-1]])
+        walk = chain_cycle((b, a) for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])
+                           if edge_key(a, b) in boundary)
         labels = regions.vertices(region)
         pieces.append(ConvexPlaneGraph(
             vertices=LabelledPoints(zip(labels, G.vertices.take(labels))),
@@ -395,17 +392,12 @@ def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGr
     return pieces
 
 
-def _fit_labels(g: ConvexPlaneGraph, h: ConvexPlaneGraph, labels,
-                tol: Tolerance) -> tuple[Isometry, float]:
-    return best_fit_isometry(g.vertices.take(labels), h.vertices.take(labels), tol=tol)
-
-
-def _assemble(g: _Regions, h: _Regions, rg, rh, tol: Tolerance,
-              threshold: float) -> Isometry | None:
+def _assemble(g: _Regions, h: _Regions, rg, rh, threshold: float) -> Isometry | None:
     # rg and rh are regions of g and h with the same edges
     G, H = g.graph, h.graph
     if len(rg) == 1:
-        iso, rmsd = _fit_labels(G, H, g.vertices(rg), tol)
+        labels = g.vertices(rg)
+        iso, rmsd = best_fit_isometry(G.vertices.take(labels), H.vertices.take(labels))
         return iso if rmsd <= threshold else None
 
     boundary = g.boundary(rg)
@@ -416,7 +408,8 @@ def _assemble(g: _Regions, h: _Regions, rg, rh, tol: Tolerance,
     if fh is None:
         return None
 
-    rho, rmsd = _fit_labels(G, H, g.faces[fg], tol)
+    face = g.faces[fg]
+    rho, rmsd = best_fit_isometry(G.vertices.take(face), H.vertices.take(face))
     if rmsd > threshold:
         return None
 
@@ -429,7 +422,7 @@ def _assemble(g: _Regions, h: _Regions, rg, rh, tol: Tolerance,
         region_h = by_edges.get(edges)
         if region_h is None:
             return None
-        sub = _assemble(g, h, region, region_h, tol, threshold)
+        sub = _assemble(g, h, region, region_h, threshold)
         if sub is None:
             return None
         pts = G.vertices.take(g.vertices(region))
@@ -459,14 +452,14 @@ def assemble_congruence(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
     diam = max(G.vertices.diameter, H.vertices.diameter)
     threshold = tol.fit_threshold(diam)
     rho = _assemble(_Regions(G), _Regions(H), tuple(G.bounded_faces()),
-                    tuple(H.bounded_faces()), tol, threshold)
+                    tuple(H.bounded_faces()), threshold)
     if rho is None:
         return None
     order = sorted(G.vertices)
     src, dst = G.vertices.take(order), H.vertices.take(order)
     if np.linalg.norm(rho.apply(src) - dst, axis=1).max() > threshold:
         return None
-    direct, _ = best_fit_isometry(src, dst, allow_reflection=True, tol=tol)
+    direct, _ = best_fit_isometry(src, dst, allow_reflection=True)
     gap = np.linalg.norm(rho.apply(src) - direct.apply(src), axis=1).max()
     if gap > threshold:
         raise AssertionError(

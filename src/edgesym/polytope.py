@@ -20,7 +20,7 @@ from .errors import (
     NotFullDimensional,
 )
 from .geom import DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, best_fit_isometry
-from .maps import CombinatorialMap
+from .maps import CombinatorialMap, chain_cycle
 
 __all__ = [
     "IndexedPolytope",
@@ -69,88 +69,60 @@ def build_polytope(points, tol: Tolerance = DEFAULT_TOLERANCE) -> IndexedPolytop
     return IndexedPolytope(vertices)
 
 
-def _chain_boundary(bound_edges: list[tuple[int, int]], group: list[int]) -> list[int]:
-    adj: dict[int, list[int]] = {}
-    for u, v in bound_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for u, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise DegenerateFaceMerge(
-                f"merged facet group {sorted(group)} has a non-simple boundary at point {u}"
-            )
-    start = min(adj)
-    cycle = [start]
-    prev, cur = None, start
-    while True:
-        a, b = adj[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, cur = cur, nxt
-        if len(cycle) > len(adj):
-            raise DegenerateFaceMerge(
-                f"merged facet group {sorted(group)} has a disconnected boundary"
-            )
-    if len(cycle) != len(adj):
-        raise DegenerateFaceMerge(
-            f"merged facet group {sorted(group)} has a disconnected boundary"
-        )
-    return cycle
-
-
 def face_map(P: IndexedPolytope, tol: Tolerance = DEFAULT_TOLERANCE) -> CombinatorialMap:
     """Extract the face lattice of P as a combinatorial map.
 
-    Hull facets are computed as triangles, adjacent coplanar triangles
-    (normal deviation below ``fit_eps`` radians) are merged into polygonal
-    faces, and each face cycle is oriented counterclockwise viewed from
-    outside. The result is independent of the input point order.
+    The hull comes as triangles with outward normals, and with the
+    neighbour across the edge opposite each triangle vertex. Every triangle
+    is turned counterclockwise viewed from outside. Neighbours whose normals
+    deviate by less than ``fit_eps`` radians fall into one group, chains of
+    them included, and each group's face cycle walks the triangle edges
+    whose neighbour lies in another group, so it inherits their orientation.
+    The result is independent of the input point order, unless ``fit_eps``
+    is so small that cos(fit_eps) rounds to 1. A group without one simple
+    boundary cycle, such as one covering the whole hull when ``fit_eps`` is
+    coarse, raises DegenerateFaceMerge.
     """
     labels, pts = P.vertices.labels, P.vertices.array
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(pts)
-    tris = hull.simplices
+    tris, nbrs = hull.simplices.copy(), hull.neighbors.copy()
     normals = hull.equations[:, :3]
-    merge_cos = math.cos(tol.fit_eps)
+    a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
+    cw = (np.cross(b - a, c - a) * normals).sum(axis=1) < 0
+    # neighbour k lies opposite vertex k, so both swap columns 1 and 2
+    tris[cw, 1:], nbrs[cw, 1:] = tris[cw, :0:-1], nbrs[cw, :0:-1]
 
-    group_of = list(range(len(tris)))
+    # one (1, 3) @ (3, 1) matmul per pair rounds as normals[i] @ normals[j]
+    dots = (normals[:, None, None, :] @ normals[nbrs][..., None])[..., 0, 0]
+    merged = dots >= math.cos(tol.fit_eps)
+    # each triangle takes the smallest triangle index of its group
+    group = np.arange(len(tris))
+    while True:
+        low = np.minimum(group, np.where(merged, group[nbrs], len(tris)).min(axis=1))
+        low = low[low]
+        if np.array_equal(low, group):
+            break
+        group = low
 
-    def find(i: int) -> int:
-        while group_of[i] != i:
-            group_of[i] = group_of[group_of[i]]
-            i = group_of[i]
-        return i
-
-    for i in range(len(tris)):
-        for j in hull.neighbors[i]:
-            if j > i and float(normals[i] @ normals[j]) >= merge_cos:
-                group_of[find(int(j))] = find(i)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(tris)):
-        groups.setdefault(find(i), []).append(i)
-
+    # the edge opposite vertex k of a counterclockwise (t0, t1, t2) runs
+    # from t[k+1] to t[k+2]
+    cut = group[nbrs] != group[:, None]
+    owner = np.repeat(group, cut.sum(axis=1))
+    order = np.argsort(owner, kind="stable")
+    tails = tris[:, [1, 2, 0]][cut][order].tolist()
+    heads = tris[:, [2, 0, 1]][cut][order].tolist()
+    ids = np.unique(group)
+    ends = np.searchsorted(owner[order], ids, side="right").tolist()
     faces = []
-    for members in groups.values():
-        edge_count: dict[tuple[int, int], int] = {}
-        for ti in members:
-            a, b, c = (int(x) for x in tris[ti])
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                edge_count[key] = edge_count.get(key, 0) + 1
-        boundary = [e for e, cnt in edge_count.items() if cnt == 1]
-        cycle = _chain_boundary(boundary, members)
-        # orient counterclockwise viewed from outside: the cycle's Newell
-        # normal must point along the outward facet normal
-        outward = normals[members].mean(axis=0)
-        ref = pts[cycle].mean(axis=0)
-        rel = pts[cycle] - ref
-        newell = np.cross(rel, np.roll(rel, -1, axis=0)).sum(axis=0)
-        if float(newell @ outward) < 0:
-            cycle.reverse()
+    for gid, start, end in zip(ids.tolist(), [0] + ends, ends):
+        cycle = chain_cycle(zip(tails[start:end], heads[start:end]))
+        if cycle is None:
+            raise DegenerateFaceMerge(
+                f"hull triangles merged with triangle {gid} (normals within "
+                f"fit_eps={tol.fit_eps:g} rad) have no simple boundary cycle"
+            )
         faces.append([labels[i] for i in cycle])
     return CombinatorialMap(faces, outer_face=None)
 
@@ -170,5 +142,5 @@ def congruent(P, Q, tol: Tolerance = DEFAULT_TOLERANCE) -> Isometry | None:
             f"index sets differ: {sorted(set(va.index) ^ set(vb.index))} not shared"
         )
     order = sorted(va.labels)
-    iso, rmsd = best_fit_isometry(va.take(order), vb.take(order), tol=tol)
+    iso, rmsd = best_fit_isometry(va.take(order), vb.take(order))
     return iso if rmsd <= tol.fit_threshold(max(va.diameter, vb.diameter)) else None

@@ -11,6 +11,10 @@ import math
 
 import numpy as np
 
+from edgesym.errors import DegenerateFaceMerge
+from edgesym.geom import DEFAULT_TOLERANCE
+from edgesym.maps import CombinatorialMap
+
 
 def oracle_cycle_key(cycle):
     """Exhaustive canonical form of a cycle: minimum over all rotations of
@@ -246,3 +250,91 @@ def all_pairs_first_crossing(coords, edges, names, eps, block=1 << 16):
             return f"edges {n1} and {n2} intersect away from shared endpoints"
         r0 = r1
     return None
+
+
+def _chain_boundary(bound_edges: list[tuple[int, int]], group: list[int]) -> list[int]:
+    adj: dict[int, list[int]] = {}
+    for u, v in bound_edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    for u, nbrs in adj.items():
+        if len(nbrs) != 2:
+            raise DegenerateFaceMerge(
+                f"merged facet group {sorted(group)} has a non-simple boundary at point {u}"
+            )
+    start = min(adj)
+    cycle = [start]
+    prev, cur = None, start
+    while True:
+        a, b = adj[cur]
+        nxt = b if a == prev else a
+        if nxt == start:
+            break
+        cycle.append(nxt)
+        prev, cur = cur, nxt
+        if len(cycle) > len(adj):
+            raise DegenerateFaceMerge(
+                f"merged facet group {sorted(group)} has a disconnected boundary"
+            )
+    if len(cycle) != len(adj):
+        raise DegenerateFaceMerge(
+            f"merged facet group {sorted(group)} has a disconnected boundary"
+        )
+    return cycle
+
+
+def union_find_face_map(P, tol=DEFAULT_TOLERANCE):
+    """The face lattice of P by the route ``polytope.face_map`` took before
+    it read the hull's adjacency arrays, kept verbatim as its reference.
+
+    Hull facets are computed as triangles, adjacent coplanar triangles
+    (normal deviation below ``fit_eps`` radians) are merged into polygonal
+    faces by a union-find, each group's boundary edges (those in one of its
+    triangles) are chained as undirected edges, and each face cycle is
+    oriented counterclockwise viewed from outside by its Newell normal.
+    """
+    labels, pts = P.vertices.labels, P.vertices.array
+    from scipy.spatial import ConvexHull
+
+    hull = ConvexHull(pts)
+    tris = hull.simplices
+    normals = hull.equations[:, :3]
+    merge_cos = math.cos(tol.fit_eps)
+
+    group_of = list(range(len(tris)))
+
+    def find(i: int) -> int:
+        while group_of[i] != i:
+            group_of[i] = group_of[group_of[i]]
+            i = group_of[i]
+        return i
+
+    for i in range(len(tris)):
+        for j in hull.neighbors[i]:
+            if j > i and float(normals[i] @ normals[j]) >= merge_cos:
+                group_of[find(int(j))] = find(i)
+
+    groups: dict[int, list[int]] = {}
+    for i in range(len(tris)):
+        groups.setdefault(find(i), []).append(i)
+
+    faces = []
+    for members in groups.values():
+        edge_count: dict[tuple[int, int], int] = {}
+        for ti in members:
+            a, b, c = (int(x) for x in tris[ti])
+            for u, v in ((a, b), (b, c), (c, a)):
+                key = (u, v) if u < v else (v, u)
+                edge_count[key] = edge_count.get(key, 0) + 1
+        boundary = [e for e, cnt in edge_count.items() if cnt == 1]
+        cycle = _chain_boundary(boundary, members)
+        # orient counterclockwise viewed from outside: the cycle's Newell
+        # normal must point along the outward facet normal
+        outward = normals[members].mean(axis=0)
+        ref = pts[cycle].mean(axis=0)
+        rel = pts[cycle] - ref
+        newell = np.cross(rel, np.roll(rel, -1, axis=0)).sum(axis=0)
+        if float(newell @ outward) < 0:
+            cycle.reverse()
+        faces.append([labels[i] for i in cycle])
+    return CombinatorialMap(faces, outer_face=None)

@@ -99,6 +99,7 @@ class TestVerify:
         ("--random", "3"),
         ("--random", "5", "--seed", "-1"),
         ("--gallery", "cube", "--tol", "inf"),
+        ("--gallery", "cube", "--tol", "2e6"),
     ])
     def test_bad_option_value_is_input_error(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)

@@ -5,14 +5,17 @@ import pytest
 
 from edgesym import gallery
 from edgesym.errors import (
+    DegenerateFaceMerge,
     DuplicateLabel,
     IndexSetMismatch,
     NonExtremePoint,
     NotFullDimensional,
 )
+from edgesym.geom import DEFAULT_TOLERANCE, Tolerance
 from edgesym.maps import combinatorially_equivalent, edge_key
 from edgesym.polytope import IndexedPolytope, build_polytope, congruent, face_map
-from oracles import oracle_cycle_key, square_isometries
+from edgesym.verify import random_inscribed_polytope
+from oracles import oracle_cycle_key, square_isometries, union_find_face_map
 
 CUBE_POINTS = [(str(i), p) for i, p in enumerate(
     [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
@@ -105,6 +108,50 @@ class TestFaceMap:
             rel = pts - ref
             newell = np.cross(rel, np.roll(rel, -1, axis=0)).sum(axis=0)
             assert float(newell @ (ref - centroid)) > 0
+
+    def test_merge_covering_the_whole_hull(self, cube):
+        # cube normals are 90 degrees apart, below fit_eps = 2 rad
+        with pytest.raises(DegenerateFaceMerge):
+            face_map(cube, Tolerance(fit_eps=2.0))
+
+    def test_merged_side_annulus(self):
+        # neighbouring sides of prism:40 turn by 9 degrees, below fit_eps =
+        # 0.2 rad, so the sides merge into a band with two boundary cycles
+        with pytest.raises(DegenerateFaceMerge):
+            face_map(gallery("prism:40"), Tolerance(fit_eps=0.2))
+
+
+REFERENCE_CORPUS = (
+    ["box_1_2_3", "cube", "dodecahedron", "frustum", "hex_prism", "icosahedron",
+     "oblique_parallelepiped", "octa_tetra_glue", "octahedron", "tetrahedron"]
+    + [f"{fam}:{n}" for fam in ("prism", "antiprism") for n in (3, 4, 5, 6, 7, 8, 16, 40, 120)]
+    + [f"sphere:{n}:{seed}" for n in (10, 60, 200, 1000, 3000) for seed in range(3)]
+)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_CORPUS)
+def test_face_map_matches_union_find_reference(spec):
+    """Equal maps, or the same exception class, as the union-find route,
+    on the input and on a shuffled copy, at three tolerance scales; the
+    scale 1e-3 puts cos(fit_eps) at 1.0, where the dot products must
+    round as the reference's do."""
+    if spec.startswith("sphere:"):
+        _, n, seed = spec.split(":")
+        P = random_inscribed_polytope(int(n), int(seed))
+    else:
+        P = gallery(spec)
+    items = list(P.vertices.items())
+    perm = np.random.default_rng(len(items)).permutation(len(items))
+    for Q in (P, IndexedPolytope(dict(items[i] for i in perm))):
+        for scale in (1e-3, 1.0, 10.0):
+            tol = DEFAULT_TOLERANCE.scaled(scale)
+            try:
+                expected = union_find_face_map(Q, tol)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    face_map(Q, tol)
+            else:
+                assert face_map(Q, tol) == expected
 
 
 class TestCongruent:

@@ -123,13 +123,20 @@ def diameter_of(points) -> float:
     """Largest pairwise distance within a point collection (NaN if a
     coordinate is), over blocks of rows in O(n + _BLOCK) memory."""
     arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or len(arr) < 2:
-        return 0.0
-    best = -np.inf
-    for rows in _row_blocks(len(arr), arr.size):
-        diff = arr[rows, None, :] - arr[None, rows.start:, :]
-        best = np.maximum(best, np.sqrt((diff * diff).sum(axis=-1)).max())
-    return float(best)
+    return float(_diameters(arr[None])[0]) if arr.ndim == 2 and len(arr) >= 2 else 0.0
+
+
+def _diameters(S: np.ndarray) -> np.ndarray:
+    """``diameter_of`` of each point set of a stack (F, k, d), in blocks of
+    about _BLOCK elements: of whole point sets, and of rows within one."""
+    F, k, d = S.shape
+    best = np.full(F, -np.inf)
+    for sets in _row_blocks(F, k * k * d):
+        for rows in _row_blocks(k, S[sets].size):
+            diff = S[sets, rows, None, :] - S[sets, None, rows.start:, :]
+            dist = np.sqrt((diff * diff).sum(axis=-1))
+            best[sets] = np.maximum(best[sets], dist.max(axis=(1, 2)))
+    return best
 
 
 class LabelledPoints(Mapping):
@@ -209,6 +216,24 @@ class Isometry:
         tr.setflags(write=False)
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "translation", tr)
+
+    @classmethod
+    def _from_stack(cls, linear: np.ndarray, translation: np.ndarray) -> list["Isometry"]:
+        """One isometry per row of (n, d, d) linear parts and (n, d)
+        translations, checked for orthogonality as the constructor checks
+        one, but all at once."""
+        linear, translation = np.array(linear, dtype=float), np.array(translation, dtype=float)
+        defect = np.abs(np.swapaxes(linear, 1, 2) @ linear - np.eye(linear.shape[-1]))
+        defect = defect.max(axis=(1, 2))
+        if (defect > 1e-6).any():
+            first = defect[defect > 1e-6][0]
+            raise ValueError(f"linear part is not orthogonal (defect {first:g})")
+        linear.setflags(write=False)
+        translation.setflags(write=False)
+        isometries = [object.__new__(cls) for _ in range(len(linear))]
+        for iso, lin, tr in zip(isometries, linear, translation):
+            vars(iso).update(linear=lin, translation=tr)  # checked above, not in __post_init__
+        return isometries
 
     @classmethod
     def identity(cls, dim: int) -> "Isometry":
@@ -295,39 +320,6 @@ class CircleFit:
         return doc
 
 
-def _fit_circle_2d(xy: np.ndarray) -> tuple[float, float, float, float]:
-    # Work in centered coordinates for conditioning.
-    c0 = xy.mean(axis=0)
-    Q = xy - c0
-    sing = np.linalg.svd(Q, compute_uv=False)
-    if sing[0] <= 0 or sing[1] <= 1e-12 * sing[0]:
-        raise CollinearPoints("points are collinear: no finite circle fits them")
-    # Algebraic seed: 2*cx*x + 2*cy*y + c = x^2 + y^2 in least squares.
-    A = np.column_stack([2.0 * Q[:, 0], 2.0 * Q[:, 1], np.ones(len(Q))])
-    b = (Q * Q).sum(axis=1)
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    cx, cy, c = (float(v) for v in sol)
-    r = math.sqrt(max(c + cx * cx + cy * cy, 0.0))
-    # Geometric refinement: Gauss-Newton on sum (|p - center| - r)^2.
-    for _ in range(20):
-        dx = Q[:, 0] - cx
-        dy = Q[:, 1] - cy
-        dist = np.hypot(dx, dy)
-        if dist.min() <= 1e-300:
-            break
-        res = dist - r
-        J = np.column_stack([-dx / dist, -dy / dist, -np.ones(len(Q))])
-        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
-        cx += float(step[0])
-        cy += float(step[1])
-        r += float(step[2])
-        if np.abs(step).max() <= 1e-15 * max(abs(r), 1e-30):
-            break
-    dist = np.hypot(Q[:, 0] - cx, Q[:, 1] - cy)
-    max_res = float(np.abs(dist - r).max())
-    return cx + c0[0], cy + c0[1], float(r), max_res
-
-
 def fit_circle(points, tol: Tolerance = DEFAULT_TOLERANCE) -> CircleFit:
     """Least-squares circle through 2D points or coplanar 3D points.
 
@@ -335,49 +327,24 @@ def fit_circle(points, tol: Tolerance = DEFAULT_TOLERANCE) -> CircleFit:
     geometric distance; deterministic for a fixed input order. 3D input is
     checked for coplanarity, projected, fitted, and lifted back.
     """
-    P = _as_points(points)
-    if len(P) < 3:
-        raise CollinearPoints("need at least 3 points to fit a circle")
-    return _fit_circle(P, diameter_of(P), tol)
-
-
-def _fit_circle(P: np.ndarray, diam: float, tol: Tolerance) -> CircleFit:
-    """``fit_circle`` on at least 3 points of known diameter ``diam``."""
-    if diam == 0:
-        raise CollinearPoints("all points coincide")
-    if P.shape[1] == 2:
-        cx, cy, r, max_res = _fit_circle_2d(P)
-        return CircleFit(center=np.array([cx, cy]), radius=r, max_residual=max_res)
-    centroid = P.mean(axis=0)
-    Q = P - centroid
-    _u, _s, Vt = np.linalg.svd(Q, full_matrices=False)
-    normal = Vt[2]
-    k = int(np.argmax(np.abs(normal)))
-    if normal[k] < 0:
-        normal = -normal
-    offsets = Q @ normal
-    if np.abs(offsets).max() > tol.fit_threshold(diam):
-        raise NonCoplanarPoints(
-            f"points deviate from their best plane by {np.abs(offsets).max():g} "
-            f"(limit {tol.fit_threshold(diam):g})"
-        )
-    u, w = Vt[0], Vt[1]
-    xy = np.column_stack([Q @ u, Q @ w])
-    cx, cy, r, max_res = _fit_circle_2d(xy)
-    center3 = centroid + cx * u + cy * w
-    return CircleFit(center=center3, radius=r, max_residual=max_res, plane_normal=normal)
+    return _fit_one(points, tol, polygon=False)[1]
 
 
 def polygon_area(polygon) -> float:
     """Unsigned area of a (possibly 3D, planar) polygon given in boundary order."""
-    P = _as_points(polygon)
-    ref = P.mean(axis=0)
-    Q = P - ref
-    nxt = np.roll(Q, -1, axis=0)
-    if P.shape[1] == 2:
-        return 0.5 * abs(float((Q[:, 0] * nxt[:, 1] - Q[:, 1] * nxt[:, 0]).sum()))
-    cross = np.cross(Q, nxt).sum(axis=0)
-    return 0.5 * float(np.linalg.norm(cross))
+    P = _as_points(polygon)[None]
+    return float(_areas(P - P.mean(axis=1)[:, None])[0])
+
+
+def _areas(Q: np.ndarray) -> np.ndarray:
+    """``polygon_area`` of each polygon of a stack (F, k, d), each moved to
+    its centroid."""
+    nxt = np.roll(Q, -1, axis=1)
+    if Q.shape[2] == 2:
+        return 0.5 * np.abs((Q[..., 0] * nxt[..., 1] - Q[..., 1] * nxt[..., 0]).sum(axis=1))
+    cross = np.cross(Q, nxt).sum(axis=1)
+    # one dot product per face, as np.linalg.norm takes it
+    return 0.5 * np.sqrt(np.matmul(cross[:, None, :], cross[:, :, None])[:, 0, 0])
 
 
 def is_inscribed(polygon, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, CircleFit]:
@@ -387,14 +354,93 @@ def is_inscribed(polygon, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, Cir
     ``fit_eps`` times the polygon diameter, making the verdict
     scale-invariant.
     """
-    P = _as_points(polygon)
-    if len(P) < 3:
-        raise DegeneratePolygon("a polygon needs at least 3 vertices")
-    diam = diameter_of(P)
-    if diam == 0 or polygon_area(P) <= 1e-12 * diam * diam:
-        raise DegeneratePolygon("polygon has (numerically) zero area")
-    fit = _fit_circle(P, diam, tol)
-    return fit.max_residual <= tol.fit_threshold(diam), fit
+    return _fit_one(polygon, tol, polygon=True)
+
+
+def _fit_one(points, tol: Tolerance, polygon: bool) -> tuple[bool, CircleFit]:
+    ok, center, radius, max_res, normal = _fit_circles(_as_points(points)[None], tol, polygon)
+    return bool(ok[0]), CircleFit(center[0], float(radius[0]), float(max_res[0]),
+                                  None if normal is None else normal[0])
+
+
+def _fit_circles(S: np.ndarray, tol: Tolerance, polygon: bool = True):
+    """The circle fit of each face of a stack (F, k, d), one row per face:
+    whether the worst residual is within ``fit_eps`` times the face
+    diameter, center, radius, worst residual and (None in 2D) unit normal.
+
+    Each face gets the arithmetic of a fit of it alone: centred points, a
+    Kasa algebraic seed, then Gauss-Newton on the geometric distance up to
+    its own last step, 3D faces projected onto their best plane and the
+    center lifted back. Only the least-squares solves run face by face.
+    The checks are those of ``is_inscribed``, or of ``fit_circle`` unless
+    ``polygon``; the error of the first face failing one is raised with
+    the face's stack position as its ``face`` attribute.
+    """
+    F, k, d = S.shape
+    if k < 3:
+        error = (DegeneratePolygon("a polygon needs at least 3 vertices") if polygon
+                 else CollinearPoints("need at least 3 points to fit a circle"))
+        error.face = 0
+        raise error
+    diam = _diameters(S)
+    threshold = tol.fit_threshold(diam)
+    centroid = S.mean(axis=1)
+    Q = S - centroid[:, None]
+    zero = (diam == 0) | (_areas(Q) <= 1e-12 * diam * diam) if polygon else diam == 0
+    normal, offset, xy = None, np.zeros(F), S
+    if d == 3:
+        Vt = np.linalg.svd(Q, full_matrices=False)[2]
+        normal = Vt[:, 2]
+        flip = normal[np.arange(F), np.abs(normal).argmax(axis=1)] < 0
+        normal = np.where(flip[:, None], -normal, normal)
+        offset = np.abs(np.matmul(Q, normal[..., None])[..., 0]).max(axis=1)
+        xy = np.stack([np.matmul(Q, Vt[:, 0, :, None])[..., 0],
+                       np.matmul(Q, Vt[:, 1, :, None])[..., 0]], axis=-1)
+    c0 = xy.mean(axis=1)
+    Q = xy - c0[:, None]
+    sing = np.linalg.svd(Q, compute_uv=False)
+    bad = zero | (offset > threshold) | (sing[:, 0] <= 0) | (sing[:, 1] <= 1e-12 * sing[:, 0])
+    if bad.any():
+        i = int(bad.argmax())
+        if zero[i]:
+            error = (DegeneratePolygon("polygon has (numerically) zero area") if polygon
+                     else CollinearPoints("all points coincide"))
+        elif offset[i] > threshold[i]:
+            error = NonCoplanarPoints(f"points deviate from their best plane by {offset[i]:g} "
+                                      f"(limit {float(threshold[i]):g})")
+        else:
+            error = CollinearPoints("points are collinear: no finite circle fits them")
+        error.face = i
+        raise error
+    # Algebraic seed: 2*cx*x + 2*cy*y + c = x^2 + y^2 in least squares;
+    # then x holds (cx, cy, r) of each face.
+    A = np.concatenate([2.0 * Q, np.ones((F, k, 1))], axis=2)
+    x = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(A, (Q * Q).sum(axis=2))])
+    x[:, 2] = np.sqrt(np.maximum(x[:, 2] + x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1], 0.0))
+    # Geometric refinement: Gauss-Newton on sum (|p - center| - r)^2 over
+    # the faces still refining.
+    live = np.arange(F)
+    for _ in range(20):
+        dx, dy = Q[live, :, 0] - x[live, 0, None], Q[live, :, 1] - x[live, 1, None]
+        dist = np.hypot(dx, dy)
+        go = ~(dist.min(axis=1) <= 1e-300)
+        live, dx, dy, dist = live[go], dx[go], dy[go], dist[go]
+        if not len(live):
+            break
+        J = np.stack([-dx / dist, -dy / dist, np.full(dx.shape, -1.0)], axis=-1)
+        res = dist - x[live, 2, None]
+        step = np.array([np.linalg.lstsq(j, -e, rcond=None)[0] for j, e in zip(J, res)])
+        x[live] += step
+        live = live[~(np.abs(step).max(axis=1) <= 1e-15 * np.maximum(np.abs(x[live, 2]), 1e-30))]
+    cx, cy, r = x.T
+    max_res = np.abs(np.hypot(Q[..., 0] - cx[:, None], Q[..., 1] - cy[:, None]) - r[:, None])
+    max_res = max_res.max(axis=1)
+    cx, cy = cx + c0[:, 0], cy + c0[:, 1]
+    if d == 3:
+        center = centroid + cx[:, None] * Vt[:, 0] + cy[:, None] * Vt[:, 1]
+    else:
+        center = np.stack([cx, cy], axis=1)
+    return max_res <= threshold, center, r, max_res, normal
 
 
 def _check_side_lengths(lengths) -> list[float]:

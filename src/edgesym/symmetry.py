@@ -433,9 +433,12 @@ def analyze(M: CombinatorialMap, coords, tol: Tolerance = DEFAULT_TOLERANCE,
         raise AssertionError(
             f"symmetry {perms[unsound[0]].cycle_notation()} realized but not edge-preserving"
         )
+    at = np.flatnonzero(realized).tolist()
+    isometries = dict(zip(at, Isometry._from_stack(linear[at], translation[at])))
+    orientations = dict(zip(at, np.where(np.linalg.det(linear[at]) > 0, 1, -1).tolist()))
     records = []
     for i, (sigma, face_image) in enumerate(zip(perms, fmaps.tolist())):
-        iso = Isometry(linear[i], translation[i]) if realized[i] else None
+        iso = isometries.get(i)
         records.append(
             SymmetryRecord(
                 sigma=sigma,
@@ -444,7 +447,7 @@ def analyze(M: CombinatorialMap, coords, tol: Tolerance = DEFAULT_TOLERANCE,
                 realized=iso is not None,
                 isometry=iso,
                 rmsd=float(rmsd[i]),
-                orientation=iso.orientation if iso is not None else None,
+                orientation=orientations.get(i),
             )
         )
     identity = next((r for r in records if r.sigma.is_identity()), None)

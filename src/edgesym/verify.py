@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EdgesymError
 from .gallery import twisted_squares
-from .geom import DEFAULT_TOLERANCE, LabelledPoints, Tolerance, is_inscribed
+from .geom import DEFAULT_TOLERANCE, LabelledPoints, Tolerance, _fit_circles
 from .maps import CombinatorialMap
 from .planegraph import ConvexPlaneGraph, build_plane_graph
 from .polytope import IndexedPolytope, build_polytope, face_map
@@ -81,12 +81,20 @@ def _classify(hyp: bool, concl: bool) -> str:
 
 def _verdict(M: CombinatorialMap, coords: LabelledPoints, face_indices, tol: Tolerance,
              instance_id: str) -> TheoremVerdict:
-    hyp = True
-    worst = 0.0
-    for fi in face_indices:
-        ok, fit = is_inscribed(coords.take(M.faces[fi]), tol)
-        worst = max(worst, fit.max_residual)
-        hyp = hyp and ok
+    rows = [[coords.index[l] for l in M.faces[fi]] for fi in face_indices]
+    sizes = np.array([len(r) for r in rows])
+    hyp, worst, errors = True, 0.0, []
+    for size in np.unique(sizes):  # one stack of faces per size
+        at = np.flatnonzero(sizes == size)
+        try:
+            ok, _, _, residual, _ = _fit_circles(coords.array[[rows[i] for i in at]], tol)
+        except EdgesymError as error:  # the first failing face in face_indices order wins
+            errors.append((at[error.face], error))
+            continue
+        hyp = hyp and bool(ok.all())
+        worst = max(worst, float(np.fmax.reduce(residual)))  # fmax passes over NaN, as max does
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
     report = analyze(M, coords, tol, instance_id=instance_id)
     violations = tuple(r for r in report.records if r.edge_preserving and not r.realized)
     concl = not violations

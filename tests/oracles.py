@@ -11,8 +11,13 @@ import math
 
 import numpy as np
 
-from edgesym.errors import DegenerateFaceMerge
-from edgesym.geom import DEFAULT_TOLERANCE
+from edgesym.errors import (
+    CollinearPoints,
+    DegenerateFaceMerge,
+    DegeneratePolygon,
+    NonCoplanarPoints,
+)
+from edgesym.geom import DEFAULT_TOLERANCE, CircleFit, Tolerance, _as_points, _row_blocks
 from edgesym.maps import CombinatorialMap
 
 
@@ -338,3 +343,110 @@ def union_find_face_map(P, tol=DEFAULT_TOLERANCE):
             cycle.reverse()
         faces.append([labels[i] for i in cycle])
     return CombinatorialMap(faces, outer_face=None)
+
+
+# The per-face inscribed test as ``geom.is_inscribed`` ran it before it
+# became a caller of the face-stacked kernel, code verbatim, as the
+# reference the kernel must match bit for bit.
+
+
+def _per_face_diameter(points) -> float:
+    arr = np.asarray(points, dtype=float)
+    if arr.ndim != 2 or len(arr) < 2:
+        return 0.0
+    best = -np.inf
+    for rows in _row_blocks(len(arr), arr.size):
+        diff = arr[rows, None, :] - arr[None, rows.start:, :]
+        best = np.maximum(best, np.sqrt((diff * diff).sum(axis=-1)).max())
+    return float(best)
+
+
+def per_face_area(polygon) -> float:
+    """``polygon_area`` as it was computed before the face-stacked kernel."""
+    P = _as_points(polygon)
+    ref = P.mean(axis=0)
+    Q = P - ref
+    nxt = np.roll(Q, -1, axis=0)
+    if P.shape[1] == 2:
+        return 0.5 * abs(float((Q[:, 0] * nxt[:, 1] - Q[:, 1] * nxt[:, 0]).sum()))
+    cross = np.cross(Q, nxt).sum(axis=0)
+    return 0.5 * float(np.linalg.norm(cross))
+
+
+def _fit_circle_2d(xy: np.ndarray) -> tuple[float, float, float, float]:
+    # Work in centered coordinates for conditioning.
+    c0 = xy.mean(axis=0)
+    Q = xy - c0
+    sing = np.linalg.svd(Q, compute_uv=False)
+    if sing[0] <= 0 or sing[1] <= 1e-12 * sing[0]:
+        raise CollinearPoints("points are collinear: no finite circle fits them")
+    # Algebraic seed: 2*cx*x + 2*cy*y + c = x^2 + y^2 in least squares.
+    A = np.column_stack([2.0 * Q[:, 0], 2.0 * Q[:, 1], np.ones(len(Q))])
+    b = (Q * Q).sum(axis=1)
+    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    cx, cy, c = (float(v) for v in sol)
+    r = math.sqrt(max(c + cx * cx + cy * cy, 0.0))
+    # Geometric refinement: Gauss-Newton on sum (|p - center| - r)^2.
+    for _ in range(20):
+        dx = Q[:, 0] - cx
+        dy = Q[:, 1] - cy
+        dist = np.hypot(dx, dy)
+        if dist.min() <= 1e-300:
+            break
+        res = dist - r
+        J = np.column_stack([-dx / dist, -dy / dist, -np.ones(len(Q))])
+        step, *_ = np.linalg.lstsq(J, -res, rcond=None)
+        cx += float(step[0])
+        cy += float(step[1])
+        r += float(step[2])
+        if np.abs(step).max() <= 1e-15 * max(abs(r), 1e-30):
+            break
+    dist = np.hypot(Q[:, 0] - cx, Q[:, 1] - cy)
+    max_res = float(np.abs(dist - r).max())
+    return cx + c0[0], cy + c0[1], float(r), max_res
+
+
+def _fit_circle(P: np.ndarray, diam: float, tol: Tolerance) -> CircleFit:
+    if diam == 0:
+        raise CollinearPoints("all points coincide")
+    if P.shape[1] == 2:
+        cx, cy, r, max_res = _fit_circle_2d(P)
+        return CircleFit(center=np.array([cx, cy]), radius=r, max_residual=max_res)
+    centroid = P.mean(axis=0)
+    Q = P - centroid
+    _u, _s, Vt = np.linalg.svd(Q, full_matrices=False)
+    normal = Vt[2]
+    k = int(np.argmax(np.abs(normal)))
+    if normal[k] < 0:
+        normal = -normal
+    offsets = Q @ normal
+    if np.abs(offsets).max() > tol.fit_threshold(diam):
+        raise NonCoplanarPoints(
+            f"points deviate from their best plane by {np.abs(offsets).max():g} "
+            f"(limit {tol.fit_threshold(diam):g})"
+        )
+    u, w = Vt[0], Vt[1]
+    xy = np.column_stack([Q @ u, Q @ w])
+    cx, cy, r, max_res = _fit_circle_2d(xy)
+    center3 = centroid + cx * u + cy * w
+    return CircleFit(center=center3, radius=r, max_residual=max_res, plane_normal=normal)
+
+
+def per_face_fit_circle(points, tol=DEFAULT_TOLERANCE) -> CircleFit:
+    """``fit_circle`` of one point set, fitted alone."""
+    P = _as_points(points)
+    if len(P) < 3:
+        raise CollinearPoints("need at least 3 points to fit a circle")
+    return _fit_circle(P, _per_face_diameter(P), tol)
+
+
+def per_face_inscribed(polygon, tol=DEFAULT_TOLERANCE) -> tuple[bool, CircleFit]:
+    """``is_inscribed`` of one polygon, fitted alone."""
+    P = _as_points(polygon)
+    if len(P) < 3:
+        raise DegeneratePolygon("a polygon needs at least 3 vertices")
+    diam = _per_face_diameter(P)
+    if diam == 0 or per_face_area(P) <= 1e-12 * diam * diam:
+        raise DegeneratePolygon("polygon has (numerically) zero area")
+    fit = _fit_circle(P, diam, tol)
+    return fit.max_residual <= tol.fit_threshold(diam), fit

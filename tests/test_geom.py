@@ -218,6 +218,23 @@ class TestApplyIsometry:
         with pytest.raises(DimensionMismatch):
             Isometry.identity(2).apply([1, 2, 3])
 
+    def test_from_stack_matches_constructor(self):
+        rng = np.random.default_rng(5)
+        linear = np.linalg.qr(rng.normal(size=(6, 3, 3)))[0]
+        translation = rng.normal(size=(6, 3))
+        for iso, lin, tr in zip(Isometry._from_stack(linear, translation), linear, translation):
+            one = Isometry(lin, tr)
+            assert np.array_equal(iso.linear, one.linear)
+            assert np.array_equal(iso.translation, one.translation)
+            assert not iso.linear.flags.writeable and not iso.translation.flags.writeable
+            assert iso.orientation == one.orientation
+        linear[4] *= 2.0
+        with pytest.raises(ValueError, match="not orthogonal") as stacked:
+            Isometry._from_stack(linear, translation)
+        with pytest.raises(ValueError) as single:
+            Isometry(linear[4], translation[4])
+        assert str(stacked.value) == str(single.value)
+
 
 class TestFitCircle:
     def test_unit_square(self):

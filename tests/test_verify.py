@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from edgesym import gallery, geom, io, planegraph, polytope, symmetry, verify
+from edgesym import gallery, geom, io, polytope
 from edgesym.errors import InvalidGalleryParameter, UnknownGalleryName
-from edgesym.geom import DEFAULT_TOLERANCE, best_fit_isometry, diameter_of
+from edgesym.geom import DEFAULT_TOLERANCE, best_fit_isometry
 from edgesym.verify import (
     CLASS_APPLIES,
     CLASS_FAILS_FAILS,
@@ -63,33 +63,34 @@ class TestPolytopeVerdicts:
                     assert rmsd < 1e-9
 
 
+def count_diameter_rows(monkeypatch) -> list[int]:
+    """The point count of every point set whose diameter is computed from
+    now on: one entry per row of each stack geom._diameters is given,
+    which every diameter, diameter_of's included, goes through."""
+    sizes = []
+    diameters = geom._diameters
+
+    def counting(stack):
+        sizes.extend([stack.shape[1]] * len(stack))
+        return diameters(stack)
+
+    monkeypatch.setattr(geom, "_diameters", counting)
+    return sizes
+
+
 def test_instance_diameter_computed_once(monkeypatch):
     P = random_inscribed_polytope(200, seed=7)
-    sizes = []
-
-    def counting(points):
-        sizes.append(len(points))
-        return diameter_of(points)
-
-    for module in (geom, io, planegraph, polytope, symmetry, verify):
-        if hasattr(module, "diameter_of"):
-            monkeypatch.setattr(module, "diameter_of", counting)
+    sizes = count_diameter_rows(monkeypatch)
     verdict = verify_polytope_theorem(P)
     io.write_report("sphere", verdict, DEFAULT_TOLERANCE, P.vertices)
     assert sizes.count(200) == 1
-    assert set(sizes) == {3, 200}  # the rest are per-face fits of triangles
+    assert set(sizes) == {3, 200}  # the rest are the stacked triangles of the face fits
 
 
 def test_face_diameter_computed_once_per_face(monkeypatch):
     P = random_inscribed_polytope(200, seed=7)
-    sizes = []
-
-    def counting(points):
-        sizes.append(len(points))
-        return diameter_of(points)
-
     faces = len(polytope.face_map(P).faces)
-    monkeypatch.setattr(geom, "diameter_of", counting)
+    sizes = count_diameter_rows(monkeypatch)
     verify_polytope_theorem(P)
     assert len([s for s in sizes if s < 200]) == faces == 396
 

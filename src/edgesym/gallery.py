@@ -79,35 +79,23 @@ def dodecahedron() -> IndexedPolytope:
     return _polytope(pts)
 
 
+def _ring(n: int, edge: float, z: float, turn: float = 0.0) -> list:
+    """Regular n-gon of side ``edge`` at height z, turned by ``turn`` rad."""
+    radius = edge / (2.0 * math.sin(math.pi / n))
+    angles = [2 * math.pi * k / n + turn for k in range(n)]
+    return [(radius * math.cos(a), radius * math.sin(a), z) for a in angles]
+
+
 def prism(n: int, edge: float = 1.0, height: float = 1.0) -> IndexedPolytope:
     if n < 3:
         raise InvalidGalleryParameter(f"prism needs n >= 3, got {n}")
-    radius = edge / (2.0 * math.sin(math.pi / n))
-    top = [
-        (radius * math.cos(2 * math.pi * k / n), radius * math.sin(2 * math.pi * k / n), height)
-        for k in range(n)
-    ]
-    bottom = [(x, y, 0.0) for x, y, _ in top]
-    return _polytope(top + bottom)
+    return _polytope(_ring(n, edge, height) + _ring(n, edge, 0.0))
 
 
 def antiprism(n: int, edge: float = 1.0, height: float = 1.0) -> IndexedPolytope:
     if n < 3:
         raise InvalidGalleryParameter(f"antiprism needs n >= 3, got {n}")
-    radius = edge / (2.0 * math.sin(math.pi / n))
-    top = [
-        (
-            radius * math.cos(2 * math.pi * k / n + math.pi / n),
-            radius * math.sin(2 * math.pi * k / n + math.pi / n),
-            height,
-        )
-        for k in range(n)
-    ]
-    bottom = [
-        (radius * math.cos(2 * math.pi * k / n), radius * math.sin(2 * math.pi * k / n), 0.0)
-        for k in range(n)
-    ]
-    return _polytope(top + bottom)
+    return _polytope(_ring(n, edge, height, math.pi / n) + _ring(n, edge, 0.0))
 
 
 def hex_prism() -> IndexedPolytope:

@@ -193,6 +193,15 @@ class LabelledPoints(Mapping):
         return self._diameter
 
 
+def _check_orthogonal(linear: np.ndarray) -> None:
+    """Raise ValueError, naming the first defect, unless every matrix of the
+    stack (n, d, d) is orthogonal within 1e-6."""
+    defect = np.abs(np.swapaxes(linear, 1, 2) @ linear - np.eye(linear.shape[-1]))
+    defect = defect.max(axis=(1, 2))
+    if (defect > 1e-6).any():
+        raise ValueError(f"linear part is not orthogonal (defect {defect[defect > 1e-6][0]:g})")
+
+
 @dataclass(frozen=True, eq=False)
 class Isometry:
     """Orthogonal linear part plus translation, in dimension 2 or 3."""
@@ -209,9 +218,7 @@ class Isometry:
             raise DimensionMismatch(
                 f"translation shape {tr.shape} does not match linear part {lin.shape}"
             )
-        defect = np.abs(lin.T @ lin - np.eye(lin.shape[0])).max()
-        if defect > 1e-6:
-            raise ValueError(f"linear part is not orthogonal (defect {defect:g})")
+        _check_orthogonal(lin[None])
         lin.setflags(write=False)
         tr.setflags(write=False)
         object.__setattr__(self, "linear", lin)
@@ -220,14 +227,9 @@ class Isometry:
     @classmethod
     def _from_stack(cls, linear: np.ndarray, translation: np.ndarray) -> list["Isometry"]:
         """One isometry per row of (n, d, d) linear parts and (n, d)
-        translations, checked for orthogonality as the constructor checks
-        one, but all at once."""
+        translations, checked for orthogonality all at once."""
         linear, translation = np.array(linear, dtype=float), np.array(translation, dtype=float)
-        defect = np.abs(np.swapaxes(linear, 1, 2) @ linear - np.eye(linear.shape[-1]))
-        defect = defect.max(axis=(1, 2))
-        if (defect > 1e-6).any():
-            first = defect[defect > 1e-6][0]
-            raise ValueError(f"linear part is not orthogonal (defect {first:g})")
+        _check_orthogonal(linear)
         linear.setflags(write=False)
         translation.setflags(write=False)
         isometries = [object.__new__(cls) for _ in range(len(linear))]
@@ -339,10 +341,12 @@ def polygon_area(polygon) -> float:
 def _areas(Q: np.ndarray) -> np.ndarray:
     """``polygon_area`` of each polygon of a stack (F, k, d), each moved to
     its centroid."""
-    nxt = np.roll(Q, -1, axis=1)
+    nxt = np.concatenate([Q[:, 1:], Q[:, :1]], axis=1)
     if Q.shape[2] == 2:
         return 0.5 * np.abs((Q[..., 0] * nxt[..., 1] - Q[..., 1] * nxt[..., 0]).sum(axis=1))
-    cross = np.cross(Q, nxt).sum(axis=1)
+    # np.cross(Q, nxt) and in its C order, so that it sums alike
+    up, down = [1, 2, 0], [2, 0, 1]
+    cross = (Q.take(up, 2) * nxt.take(down, 2) - Q.take(down, 2) * nxt.take(up, 2)).sum(axis=1)
     # one dot product per face, as np.linalg.norm takes it
     return 0.5 * np.sqrt(np.matmul(cross[:, None, :], cross[:, :, None])[:, 0, 0])
 
@@ -358,12 +362,14 @@ def is_inscribed(polygon, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, Cir
 
 
 def _fit_one(points, tol: Tolerance, polygon: bool) -> tuple[bool, CircleFit]:
-    ok, center, radius, max_res, normal = _fit_circles(_as_points(points)[None], tol, polygon)
-    return bool(ok[0]), CircleFit(center[0], float(radius[0]), float(max_res[0]),
-                                  None if normal is None else normal[0])
+    failed, fits = _fit_circles(_as_points(points)[None], tol, polygon)
+    if failed:
+        raise failed[1]
+    ok, center, radius, max_res, normal = (None if v is None else v[0] for v in fits)
+    return bool(ok), CircleFit(center, float(radius), float(max_res), normal)
 
 
-def _fit_circles(S: np.ndarray, tol: Tolerance, polygon: bool = True):
+def _fit_circles(S: np.ndarray, tol: Tolerance, polygon: bool):
     """The circle fit of each face of a stack (F, k, d), one row per face:
     whether the worst residual is within ``fit_eps`` times the face
     diameter, center, radius, worst residual and (None in 2D) unit normal.
@@ -373,15 +379,13 @@ def _fit_circles(S: np.ndarray, tol: Tolerance, polygon: bool = True):
     its own last step, 3D faces projected onto their best plane and the
     center lifted back. Only the least-squares solves run face by face.
     The checks are those of ``is_inscribed``, or of ``fit_circle`` unless
-    ``polygon``; the error of the first face failing one is raised with
-    the face's stack position as its ``face`` attribute.
+    ``polygon``. Returns (None, fits), or ((i, error), None) if a face
+    fails one, i being the stack position of the first that does.
     """
     F, k, d = S.shape
     if k < 3:
-        error = (DegeneratePolygon("a polygon needs at least 3 vertices") if polygon
-                 else CollinearPoints("need at least 3 points to fit a circle"))
-        error.face = 0
-        raise error
+        return (0, DegeneratePolygon("a polygon needs at least 3 vertices") if polygon
+                else CollinearPoints("need at least 3 points to fit a circle")), None
     diam = _diameters(S)
     threshold = tol.fit_threshold(diam)
     centroid = S.mean(axis=1)
@@ -410,8 +414,7 @@ def _fit_circles(S: np.ndarray, tol: Tolerance, polygon: bool = True):
                                       f"(limit {float(threshold[i]):g})")
         else:
             error = CollinearPoints("points are collinear: no finite circle fits them")
-        error.face = i
-        raise error
+        return (i, error), None
     # Algebraic seed: 2*cx*x + 2*cy*y + c = x^2 + y^2 in least squares;
     # then x holds (cx, cy, r) of each face.
     A = np.concatenate([2.0 * Q, np.ones((F, k, 1))], axis=2)
@@ -421,26 +424,24 @@ def _fit_circles(S: np.ndarray, tol: Tolerance, polygon: bool = True):
     # the faces still refining.
     live = np.arange(F)
     for _ in range(20):
-        dx, dy = Q[live, :, 0] - x[live, 0, None], Q[live, :, 1] - x[live, 1, None]
-        dist = np.hypot(dx, dy)
+        diff = Q[live] - x[live, None, :2]
+        dist = np.hypot(diff[..., 0], diff[..., 1])
         go = ~(dist.min(axis=1) <= 1e-300)
-        live, dx, dy, dist = live[go], dx[go], dy[go], dist[go]
+        if not go.all():
+            live, diff, dist = live[go], diff[go], dist[go]
         if not len(live):
             break
-        J = np.stack([-dx / dist, -dy / dist, np.full(dx.shape, -1.0)], axis=-1)
+        J = np.concatenate([-diff / dist[..., None], np.full(dist.shape + (1,), -1.0)], axis=2)
         res = dist - x[live, 2, None]
         step = np.array([np.linalg.lstsq(j, -e, rcond=None)[0] for j, e in zip(J, res)])
         x[live] += step
         live = live[~(np.abs(step).max(axis=1) <= 1e-15 * np.maximum(np.abs(x[live, 2]), 1e-30))]
-    cx, cy, r = x.T
-    max_res = np.abs(np.hypot(Q[..., 0] - cx[:, None], Q[..., 1] - cy[:, None]) - r[:, None])
-    max_res = max_res.max(axis=1)
-    cx, cy = cx + c0[:, 0], cy + c0[:, 1]
+    diff = Q - x[:, None, :2]
+    max_res = np.abs(np.hypot(diff[..., 0], diff[..., 1]) - x[:, 2, None]).max(axis=1)
+    center = x[:, :2] + c0
     if d == 3:
-        center = centroid + cx[:, None] * Vt[:, 0] + cy[:, None] * Vt[:, 1]
-    else:
-        center = np.stack([cx, cy], axis=1)
-    return max_res <= threshold, center, r, max_res, normal
+        center = centroid + center[:, :1] * Vt[:, 0] + center[:, 1:] * Vt[:, 1]
+    return None, (max_res <= threshold, center, x[:, 2], max_res, normal)
 
 
 def _check_side_lengths(lengths) -> list[float]:

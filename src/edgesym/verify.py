@@ -83,18 +83,17 @@ def _verdict(M: CombinatorialMap, coords: LabelledPoints, face_indices, tol: Tol
              instance_id: str) -> TheoremVerdict:
     rows = [[coords.index[l] for l in M.faces[fi]] for fi in face_indices]
     sizes = np.array([len(r) for r in rows])
-    hyp, worst, errors = True, 0.0, []
+    hyp, worst, failed = True, 0.0, {}
     for size in np.unique(sizes):  # one stack of faces per size
         at = np.flatnonzero(sizes == size)
-        try:
-            ok, _, _, residual, _ = _fit_circles(coords.array[[rows[i] for i in at]], tol)
-        except EdgesymError as error:  # the first failing face in face_indices order wins
-            errors.append((at[error.face], error))
-            continue
-        hyp = hyp and bool(ok.all())
-        worst = max(worst, float(np.fmax.reduce(residual)))  # fmax passes over NaN, as max does
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
+        bad, fits = _fit_circles(coords.array[[rows[i] for i in at]], tol, polygon=True)
+        if bad:
+            failed[at[bad[0]]] = bad[1]
+        else:
+            hyp = hyp and bool(fits[0].all())
+            worst = max(worst, float(np.fmax.reduce(fits[3])))  # fmax passes over NaN, as max does
+    if failed:
+        raise failed[min(failed)]  # the first failing face in face_indices order
     report = analyze(M, coords, tol, instance_id=instance_id)
     violations = tuple(r for r in report.records if r.edge_preserving and not r.realized)
     concl = not violations

@@ -62,11 +62,12 @@ def assert_same_fit(got, want):
 
 
 def error_of(fn, *args):
-    """(exception type, message) if ``fn`` raises an EdgesymError, else None."""
+    """(exception type, message, attributes) if ``fn`` raises an
+    EdgesymError, else None."""
     try:
         fn(*args)
     except EdgesymError as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), vars(exc)
     return None
 
 
@@ -134,8 +135,9 @@ def noisy_polygons(seed, dim):
 
 def stacked_fits(polygons, polygon):
     """(verdict, CircleFit) of each polygon, all fitted in one stack."""
-    ok, center, radius, max_res, normal = geom._fit_circles(
-        np.array(polygons), DEFAULT_TOLERANCE, polygon)
+    failed, fits = geom._fit_circles(np.array(polygons), DEFAULT_TOLERANCE, polygon)
+    assert failed is None
+    ok, center, radius, max_res, normal = fits
     return [(bool(ok[i]), CircleFit(center[i], radius[i], max_res[i],
                                     None if normal is None else normal[i]))
             for i in range(len(polygons))]
@@ -208,7 +210,7 @@ def test_first_failing_face_raises_as_per_face(kind, dim, where):
     faces, coords = stack_instance(polygons)
     with pytest.raises(want[0]) as info:
         verify._verdict(faces, coords, range(len(polygons)), DEFAULT_TOLERANCE, "bad")
-    assert str(info.value) == want[1]
+    assert (str(info.value), vars(info.value)) == want[1:]
     for P in polygons:
         assert_same_outcome(is_inscribed, per_face_inscribed, P)
         assert_same_outcome(fit_circle, per_face_fit_circle, P)

@@ -134,8 +134,8 @@ def _diameters(S: np.ndarray) -> np.ndarray:
     for sets in _row_blocks(F, k * k * d):
         for rows in _row_blocks(k, S[sets].size):
             diff = S[sets, rows, None, :] - S[sets, None, rows.start:, :]
-            dist = np.sqrt((diff * diff).sum(axis=-1))
-            best[sets] = np.maximum(best[sets], dist.max(axis=(1, 2)))
+            dist = np.sqrt((diff * diff).sum(axis=-1)).max(axis=(1, 2))
+            best[sets] = np.maximum(best[sets], dist)
     return best
 
 

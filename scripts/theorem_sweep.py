@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the built-in gallery, prism/antiprism families (n = 3..8, 16 and
-40), and seeded random instances through the theorem verifier and print a
-classification table.
+40), orbit polytopes of the groups T, O and Ih (one orbit each, and two
+orbits of Ih), and seeded random instances through the theorem verifier
+and print a classification table.
 
 Exits nonzero if any instance raises the falsification alarm (hypothesis
 holds but some edge-preserving symmetry is unrealized).
@@ -9,10 +10,11 @@ holds but some edge-preserving symmetry is unrealized).
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from edgesym import gallery
+from edgesym import build_polytope, gallery
 from edgesym.verify import (
     CLASS_VIOLATION,
     random_inscribed_polytope,
@@ -20,6 +22,9 @@ from edgesym.verify import (
     verify_graph_theorem,
     verify_polytope_theorem,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import orbit_points  # noqa: E402  (the test oracles' group generators)
 
 POLYTOPES = [
     "cube", "box_1_2_3", "oblique_parallelepiped", "tetrahedron", "octahedron",
@@ -43,6 +48,12 @@ def main() -> int:
         for fam in ("prism", "antiprism"):
             name = f"{fam}:{n}"
             rows.append((name, verify_polytope_theorem(gallery(name), instance_id=name)))
+    # inscribed instances with non-trivial groups: each realizes exactly
+    # the group, every symmetry of which preserves edges
+    for group, orbits in (("T", 1), ("O", 1), ("Ih", 1), ("Ih", 2)):
+        name = f"orbit:{group}x{orbits}"
+        points = orbit_points(group, np.random.default_rng(args.seed), orbits)
+        rows.append((name, verify_polytope_theorem(build_polytope(points), instance_id=name)))
     for name in GRAPHS:
         rows.append((name, verify_graph_theorem(gallery(name), instance_id=name)))
 

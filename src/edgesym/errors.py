@@ -77,6 +77,10 @@ class DecompositionError(EdgesymError):
     """A decomposition piece violates the expected boundary structure."""
 
 
+class InvalidMap(EdgesymError, ValueError):
+    """Face cycles that do not form a sphere map (see CombinatorialMap)."""
+
+
 class NotCombinatoriallyEquivalent(EdgesymError):
     """Identity on labels does not extend to a map isomorphism."""
 

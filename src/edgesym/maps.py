@@ -1,8 +1,12 @@
 """Combinatorial surface maps.
 
-A map is stored as its family of face cycles plus, for plane graphs, the
-distinguished outer face. Everything else is derived: the edge set, vertex
-degrees, and the flag graph. A flag is a mutually incident
+A map is stored as its face cycles plus, for plane graphs, the
+distinguished outer face. Vertex i is the i-th label in sorted order, so
+one integer-array core builds every map, from labelled cycles or from the
+integer cycles of ``polytope.face_map``: canonical rotation, face sort,
+edge pairing and the checks run on arrays, and the label tuples (faces,
+edges, face keys) are built on first use. Everything else is derived: the
+edge set, vertex degrees, and the flag graph. A flag is a mutually incident
 (vertex, edge, face) triple, numbered 0..4E-1; the involutions s0/s1/s2
 are int arrays that switch the vertex, the edge, and the face coordinate
 respectively. A map isomorphism commutes with the three involutions, so
@@ -12,15 +16,17 @@ across the flag graph to enumerate automorphisms.
 
 from __future__ import annotations
 
+import itertools
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
+from .errors import InvalidMap
+
 __all__ = [
     "CombinatorialMap",
     "Edge",
-    "canonical_cycle",
-    "chain_cycle",
     "combinatorially_equivalent",
     "cycle_key",
     "edge_key",
@@ -33,33 +39,63 @@ def edge_key(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-def canonical_cycle(cycle) -> tuple[str, ...]:
-    """Rotate a simple cycle so its smallest label comes first (orientation kept)."""
+def cycle_key(cycle) -> tuple[str, ...]:
+    """Orientation-free canonical form: the smaller of the two readings from
+    the smallest label."""
     seq = tuple(cycle)
     i = seq.index(min(seq))
-    return seq[i:] + seq[:i]
+    return min(seq[i:] + seq[:i], seq[i::-1] + seq[:i:-1])
 
 
-def chain_cycle(pairs) -> list | None:
-    """The cycle u, succ(u), succ(succ(u)), ... read from the smallest tail
-    u of the (tail, head) pairs, or None unless they form one simple cycle."""
-    pairs = list(pairs)
-    succ = dict(pairs)
-    if not succ or len(succ) != len(pairs):
-        return None
-    start = min(succ)
-    cycle, cur = [start], succ[start]
-    while cur != start and len(cycle) < len(succ):
-        cycle.append(cur)
-        cur = succ.get(cur)
-    return cycle if cur == start and len(cycle) == len(succ) else None
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The runs start[k], ..., start[k] + count[k] - 1, concatenated."""
+    return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(int(count.sum()))
 
 
-def cycle_key(cycle) -> tuple[str, ...]:
-    """Orientation-free canonical form: the smaller of the two rotated readings."""
-    fwd = canonical_cycle(cycle)
-    rev = canonical_cycle(tuple(reversed(cycle)))
-    return min(fwd, rev)
+def _walk_cycles(group: np.ndarray, tails: np.ndarray, heads: np.ndarray,
+                 n_groups: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the directed edges tails[j] -> heads[j] (ints >= 0) of each
+    group 0..n_groups-1 as one cycle, from the group's smallest tail through
+    the edge leaving each head, all groups at once by repeated squaring of
+    the successor map. Returns the tails in walk order, group after group,
+    the number of edges of each group, and whether each group's edges fail
+    to form one simple cycle."""
+    n = int(max(tails.max(initial=0), heads.max(initial=0))) + 1
+    key = group * n + tails
+    order = np.argsort(key)
+    key, heads = key[order], heads[order]
+    count = np.bincount(group, minlength=n_groups)
+    first = np.cumsum(count) - count
+    # succ: the edge leaving the head in the same group; an unmatched head
+    # stays put, and a second edge from one tail is never reached
+    succ = np.minimum(np.searchsorted(key, key - key % n + heads), len(key) - 1)
+    matched = key[succ] == key - key % n + heads
+    succ = np.where(matched, succ, np.arange(len(key)))
+    walk = np.repeat(first, count)  # walk[j]: succ applied j - first times to first
+    steps, jump = np.arange(len(key)) - walk, succ
+    for bit in range(int(count.max(initial=0)).bit_length()):
+        move = (steps >> bit & 1).astype(bool)
+        walk[move], jump = jump[walk[move]], jump[jump]
+    # one simple cycle: every head matched, every edge walked once, and the
+    # last edge leading back to the first
+    broken = ~matched | (np.bincount(walk, minlength=len(key)) != 1)
+    last = (first + count - 1)[count > 0]
+    broken[last] |= succ[walk[last]] != first[count > 0]
+    bad = (np.bincount(key[broken] // n, minlength=n_groups) > 0) | (count == 0)
+    return key[walk] % n, count, bad
+
+
+def _row_order(flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Stable order of the rows flat[starts[i]:starts[i] + sizes[i]] (ints
+    >= 0) as tuples compare: each round ranks by one more column, padded
+    below every entry, until the rows still tied are equal."""
+    key, base = np.zeros(len(sizes), dtype=np.intp), int(flat.max()) + 2
+    for c in range(int(sizes.max())):
+        column = np.where(c < sizes, flat[starts + np.minimum(c, sizes - 1)] + 1, 0)
+        key = np.unique(key * base + column, return_inverse=True)[1]
+        if not (sizes[np.bincount(key)[key] > 1] > c + 1).any():
+            break
+    return np.argsort(key, kind="stable")
 
 
 class CombinatorialMap:
@@ -68,83 +104,111 @@ class CombinatorialMap:
 
     Faces are stored canonically rotated (smallest label first, orientation
     preserved) and sorted, so two constructions of the same map compare
-    equal regardless of input order. Construction validates that every
-    edge lies in exactly two faces, that cycles are simple, and that the
-    Euler relation V - E + F = 2 holds.
+    equal regardless of input order; ``face_vertices`` holds them as vertex
+    indices, concatenated, of lengths ``face_sizes``, and ``edge_ends`` the
+    ends of ``edges``. Construction raises InvalidMap unless every edge
+    lies in exactly two faces, cycles are simple, and the Euler relation
+    V - E + F = 2 holds.
     """
 
     def __init__(self, faces, outer_face: Optional[int] = None):
-        raw = [tuple(str(v) for v in f) for f in faces]
-        if not raw:
-            raise ValueError("a map needs at least one face")
-        for f in raw:
-            if len(f) < 3:
-                raise ValueError(f"face cycle {f} has fewer than 3 vertices")
-            if len(set(f)) != len(f):
-                raise ValueError(f"face cycle {f} is not simple")
-        canon = [canonical_cycle(f) for f in raw]
-        order = sorted(range(len(canon)), key=lambda i: canon[i])
-        self.faces: tuple[tuple[str, ...], ...] = tuple(canon[i] for i in order)
-        if outer_face is None:
-            self.outer_face: Optional[int] = None
-        else:
-            if not 0 <= outer_face < len(raw):
-                raise ValueError(f"outer face index {outer_face} out of range")
-            self.outer_face = order.index(outer_face)
+        faces = list(map(tuple, faces))
+        labels = list(map(str, itertools.chain.from_iterable(faces)))
+        rank = {label: i for i, label in enumerate(sorted(set(labels)))}
+        self._build(tuple(rank), np.fromiter(map(rank.get, labels), np.intp, len(labels)),
+                    np.fromiter(map(len, faces), np.intp, len(faces)), outer_face)
 
-        edge_faces: dict[Edge, list[int]] = {}
-        for fi, cyc in enumerate(self.faces):
-            for t in range(len(cyc)):
-                e = edge_key(cyc[t], cyc[(t + 1) % len(cyc)])
-                edge_faces.setdefault(e, []).append(fi)
-        for e, fs in edge_faces.items():
-            if len(fs) != 2 or fs[0] == fs[1]:
-                raise ValueError(f"edge {e} lies in faces {fs}, expected two distinct faces")
-        self.edges: tuple[Edge, ...] = tuple(sorted(edge_faces))
-        self.vertices: tuple[str, ...] = tuple(sorted({v for f in self.faces for v in f}))
+    @classmethod
+    def _from_cycles(cls, names, cycles, sizes, outer_face=None) -> "CombinatorialMap":
+        """The map of ``cycles``, indices into the sorted labels ``names``,
+        concatenated, of lengths ``sizes``."""
+        M = cls.__new__(cls)
+        M._build(names, cycles, sizes, outer_face)
+        return M
 
-        if len(self.vertices) - len(self.edges) + len(self.faces) != 2:
-            raise ValueError(
-                f"Euler relation fails: V={len(self.vertices)} E={len(self.edges)} "
-                f"F={len(self.faces)}"
-            )
+    def _build(self, names, cycles, sizes, outer_face) -> None:
+        n_faces, n_in = len(sizes), len(cycles)
+        if not n_faces:
+            raise InvalidMap("a map needs at least one face")
+        starts = np.cumsum(sizes) - sizes
+        face = np.repeat(np.arange(n_faces), sizes)
+        pairs = np.sort(face * len(names) + cycles)
+        bad = sizes < 3
+        bad[pairs[1:][pairs[1:] == pairs[:-1]] // max(len(names), 1)] = True
+        if bad.any():
+            fi = int(np.argmax(bad))
+            f = tuple(names[i] for i in cycles[starts[fi]:starts[fi] + sizes[fi]].tolist())
+            raise InvalidMap(f"face cycle {f} has fewer than 3 vertices" if sizes[fi] < 3
+                             else f"face cycle {f} is not simple")
 
-        index = {v: i for i, v in enumerate(self.vertices)}
-        # Flags 2j and 2j+1 lie on the j-th edge of the face cycles read in
-        # face order, cyc[t]-cyc[t+1]: flag 2j at vertex cyc[t], 2j+1 at cyc[t+1].
-        sizes = np.array([len(cyc) for cyc in self.faces])
-        n_flags = 4 * len(self.edges)
-        flag_vertex = np.empty(n_flags, dtype=np.intp)
-        flag_vertex[0::2] = [index[v] for cyc in self.faces for v in cyc]
-        flag_vertex[1::2] = [index[v] for cyc in self.faces for v in cyc[1:] + cyc[:1]]
-        s0 = np.arange(n_flags) ^ 1
-        # s1 joins the flag at cyc[t] to the flag at cyc[t] on the previous edge.
-        at_tail = np.arange(0, n_flags, 2)
-        prev = at_tail - 1
-        face_start = 2 * np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        prev[face_start // 2] = face_start + 2 * sizes - 1
-        s1 = np.empty(n_flags, dtype=np.intp)
-        s1[at_tail], s1[prev] = prev, at_tail
-        # s2 joins the two flags on the same vertex and edge, one per face of
-        # the edge; sorted by (edge, vertex) they are neighbours.
-        lo = np.minimum(flag_vertex, flag_vertex[s0])
-        hi = np.maximum(flag_vertex, flag_vertex[s0])
-        by_edge = np.lexsort((flag_vertex, hi, lo))
-        s2 = np.empty(n_flags, dtype=np.intp)
-        s2[by_edge[0::2]], s2[by_edge[1::2]] = by_edge[1::2], by_edge[0::2]
-        self.flags = range(n_flags)
-        self.s0, self.s1, self.s2 = s0, s1, s2
-        self.flag_vertex = flag_vertex
+        # rotate each cycle to start at its smallest vertex, then sort the faces
+        at = np.arange(n_in) - starts[face]
+        shift = np.flatnonzero(cycles == np.minimum.reduceat(cycles, starts)[face]) - starts
+        cycles = cycles[starts[face] + (at + shift[face]) % sizes[face]]
+        order = _row_order(cycles, starts, sizes)
+        sizes, cycles = sizes[order], cycles[_ranges(starts[order], sizes[order])]
+        if outer_face is not None:
+            if not 0 <= outer_face < n_faces:
+                raise InvalidMap(f"outer face index {outer_face} out of range")
+            outer_face = int(np.flatnonzero(order == outer_face)[0])
+        self.outer_face: Optional[int] = outer_face
+        present = np.bincount(cycles, minlength=len(names)) > 0
+        self.vertices: tuple[str, ...] = tuple(itertools.compress(names, present))
+        self.face_vertices, self.face_sizes = (np.cumsum(present) - 1)[cycles], sizes
+
+        # edge j runs from cycles[j] to cycles[step[j]]; the two of one
+        # undirected edge are neighbours once sorted by (smaller, larger end)
+        cycles, n_v, ends = self.face_vertices, len(self.vertices), np.cumsum(sizes)
+        step = np.arange(1, n_in + 1)
+        step[ends - 1] = ends - sizes
+        lo, hi = np.minimum(cycles, cycles[step]), np.maximum(cycles, cycles[step])
+        by_edge = np.argsort(lo * n_v + hi, kind="stable")
+        first = np.flatnonzero(np.diff((lo * n_v + hi)[by_edge], prepend=-1))
+        count = np.diff(first, append=n_in)
+        self.flag_face = np.repeat(np.arange(n_faces), 2 * sizes)
+        face = self.flag_face[0::2][by_edge]
+        bad = (count != 2) | (face[first] == face[np.minimum(first + 1, n_in - 1)])
+        if bad.any():
+            k = np.flatnonzero(bad)[np.argmin(by_edge[first[bad]])]  # the edge met first
+            e = tuple(self.vertices[i] for i in (lo[by_edge[first[k]]], hi[by_edge[first[k]]]))
+            fs = face[first[k]:first[k] + count[k]].tolist()
+            raise InvalidMap(f"edge {e} lies in faces {fs}, expected two distinct faces")
+        self.edge_ends = np.stack((lo, hi), axis=1)[by_edge[first]]
+        if n_v - len(first) + n_faces != 2:
+            raise InvalidMap(f"Euler relation fails: V={n_v} E={len(first)} F={n_faces}")
+
+        # flags 2j and 2j+1 lie on edge j, at its tail and at its head; s1
+        # joins the head flag to the tail flag of the next edge of the face,
+        # and s2 the flags at one end of an edge in its two faces
+        self.flags = range(2 * n_in)
+        self.flag_vertex = np.stack((cycles, cycles[step]), axis=1).ravel()
+        self.s0 = np.arange(2 * n_in) ^ 1
+        self.s1 = np.empty(2 * n_in, dtype=np.intp)
+        self.s1[1::2], self.s1[2 * step] = 2 * step, np.arange(1, 2 * n_in, 2)
+        j, k = by_edge[first], by_edge[first + 1]
+        a, b = 2 * j + (cycles[j] != lo[j]), 2 * k + (cycles[k] != lo[k])
+        self.s2 = np.empty(2 * n_in, dtype=np.intp)
+        self.s2[a], self.s2[b], self.s2[a ^ 1], self.s2[b ^ 1] = b, a, b ^ 1, a ^ 1
         # each edge at a vertex carries two of its flags, one per side
-        self.degree = np.bincount(flag_vertex) // 2
-        self.flag_face = np.repeat(np.arange(len(self.faces)), 2 * sizes)
-        self._face_keys = tuple(cycle_key(f) for f in self.faces)
+        self.degree = np.bincount(self.flag_vertex) // 2
+
+    @cached_property
+    def faces(self) -> tuple[tuple[str, ...], ...]:
+        labels = list(map(self.vertices.__getitem__, self.face_vertices.tolist()))
+        ends = np.cumsum(self.face_sizes).tolist()
+        return tuple(tuple(labels[e - n:e]) for e, n in zip(ends, self.face_sizes.tolist()))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(map(tuple, np.array(self.vertices, dtype=object)[self.edge_ends].tolist()))
 
     @property
     def is_graph(self) -> bool:
         return self.outer_face is not None
 
     def face_keys(self) -> tuple[tuple[str, ...], ...]:
+        if "_face_keys" not in vars(self):
+            self._face_keys = tuple(map(cycle_key, self.faces))
         return self._face_keys
 
     def face_edges(self, fi: int) -> set[Edge]:
@@ -166,7 +230,7 @@ class CombinatorialMap:
         kind = "graph" if self.is_graph else "polytope"
         return (
             f"CombinatorialMap({kind}, V={len(self.vertices)}, "
-            f"E={len(self.edges)}, F={len(self.faces)})"
+            f"E={len(self.edge_ends)}, F={len(self.face_sizes)})"
         )
 
 

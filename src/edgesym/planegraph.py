@@ -27,7 +27,8 @@ from .errors import (
     NotCombinatoriallyEquivalent,
 )
 from .geom import DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, best_fit_isometry
-from .maps import CombinatorialMap, Edge, chain_cycle, combinatorially_equivalent, edge_key
+from .maps import (CombinatorialMap, Edge, _ranges, _walk_cycles, combinatorially_equivalent,
+                   edge_key)
 
 __all__ = [
     "ConvexPlaneGraph",
@@ -52,10 +53,7 @@ class ConvexPlaneGraph:
         object.__setattr__(self, "vertices", LabelledPoints.of(self.vertices))
 
     def bounded_faces(self) -> list[int]:
-        return [i for i in range(len(self.map.faces)) if i != self.map.outer_face]
-
-    def face_polygon(self, fi: int) -> np.ndarray:
-        return self.vertices.take(self.map.faces[fi])
+        return [i for i in range(len(self.map.face_sizes)) if i != self.map.outer_face]
 
 
 def _signed_area(poly: np.ndarray) -> float:
@@ -65,11 +63,6 @@ def _signed_area(poly: np.ndarray) -> float:
 
 _PAIR_BLOCK = 1 << 16  # candidate pairs tested at once; bounds the temporaries
 _MAX_CELLS = 16  # grid cells a short edge's box may cover
-
-
-def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The runs start[k], ..., start[k] + count[k] - 1, concatenated."""
-    return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(int(count.sum()))
 
 
 def _first_bad_pair(coords: np.ndarray, ea: np.ndarray, eb: np.ndarray,
@@ -377,13 +370,16 @@ def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGr
         boundary = regions.boundary(region)
         # bounded faces run counterclockwise, so the clockwise outer walk
         # reads each boundary edge backwards
-        walk = chain_cycle((b, a) for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])
-                           if edge_key(a, b) in boundary)
+        index, names = G.vertices.index, G.vertices.labels
+        ends = np.array([(index[b], index[a]) for cyc in cycles
+                         for a, b in zip(cyc, cyc[1:] + cyc[:1]) if edge_key(a, b) in boundary])
+        walk = _walk_cycles(np.zeros(len(ends), dtype=np.intp), ends[:, 0], ends[:, 1], 1)[0]
         labels = regions.vertices(region)
         pieces.append(ConvexPlaneGraph(
             vertices=LabelledPoints(zip(labels, G.vertices.take(labels))),
             edges=tuple(sorted(edges)),
-            map=CombinatorialMap(cycles + [walk], outer_face=len(cycles)),
+            map=CombinatorialMap(cycles + [[names[i] for i in walk.tolist()]],
+                                 outer_face=len(cycles)),
         ))
     return pieces
 

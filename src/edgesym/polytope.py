@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import (
     NotFullDimensional,
 )
 from .geom import DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, best_fit_isometry
-from .maps import CombinatorialMap, chain_cycle
+from .maps import CombinatorialMap, _walk_cycles
 
 __all__ = [
     "IndexedPolytope",
@@ -40,6 +41,15 @@ class IndexedPolytope:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", LabelledPoints.of(self.vertices))
 
+    @cached_property
+    def hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``simplices``, ``neighbors`` and ``equations`` of the convex hull,
+        computed once, like the diameter."""
+        from scipy.spatial import ConvexHull  # imported here: scipy.spatial loads slowly
+
+        hull = ConvexHull(self.vertices.array)
+        return hull.simplices, hull.neighbors, hull.equations
+
 
 def build_polytope(points, tol: Tolerance = DEFAULT_TOLERANCE) -> IndexedPolytope:
     """Validate labelled points as the vertex set of a convex 3-polytope.
@@ -57,38 +67,36 @@ def build_polytope(points, tol: Tolerance = DEFAULT_TOLERANCE) -> IndexedPolytop
     sing = np.linalg.svd(coords - coords.mean(axis=0), compute_uv=False)
     if sing[2] <= 1e-10 * sing[0]:
         raise NotFullDimensional("points have affine dimension below 3")
-    from scipy.spatial import ConvexHull  # imported here: scipy.spatial loads slowly
-
-    hull = ConvexHull(coords)
-    hull_vertices = set(hull.vertices.tolist())
+    P = IndexedPolytope(vertices)
+    hull_vertices = set(np.unique(P.hull[0]).tolist())
     interior = sorted(l for i, l in enumerate(vertices.labels) if i not in hull_vertices)
     if interior:
         raise NonExtremePoint(
             f"labelled point(s) {interior} are not vertices of the convex hull"
         )
-    return IndexedPolytope(vertices)
+    return P
 
 
 def face_map(P: IndexedPolytope, tol: Tolerance = DEFAULT_TOLERANCE) -> CombinatorialMap:
     """Extract the face lattice of P as a combinatorial map.
 
-    The hull comes as triangles with outward normals, and with the
-    neighbour across the edge opposite each triangle vertex. Every triangle
-    is turned counterclockwise viewed from outside. Neighbours whose normals
-    deviate by less than ``fit_eps`` radians fall into one group, chains of
-    them included, and each group's face cycle walks the triangle edges
-    whose neighbour lies in another group, so it inherits their orientation.
-    The result is independent of the input point order, unless ``fit_eps``
-    is so small that cos(fit_eps) rounds to 1. A group without one simple
-    boundary cycle, such as one covering the whole hull when ``fit_eps`` is
-    coarse, raises DegenerateFaceMerge.
+    The hull, cached on P, comes as triangles with outward normals, and
+    with the neighbour across the edge opposite each triangle vertex. Every
+    triangle is turned counterclockwise viewed from outside. Neighbours
+    whose normals deviate by less than ``fit_eps`` radians fall into one
+    group, chains of them included. Each group's face cycle walks the
+    triangle edges whose neighbour lies in another group, so it inherits
+    their orientation; all groups are walked at once, on arrays, and the
+    integer cycles go to the map's array core. The result is independent of
+    the input point order, unless ``fit_eps`` is so small that cos(fit_eps)
+    rounds to 1. A group without one simple boundary cycle, such as one
+    covering the whole hull when ``fit_eps`` is coarse, raises
+    DegenerateFaceMerge.
     """
     labels, pts = P.vertices.labels, P.vertices.array
-    from scipy.spatial import ConvexHull
-
-    hull = ConvexHull(pts)
-    tris, nbrs = hull.simplices.copy(), hull.neighbors.copy()
-    normals = hull.equations[:, :3]
+    simplices, neighbors, equations = P.hull
+    tris, nbrs = simplices.copy(), neighbors.copy()
+    normals = equations[:, :3]
     a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
     cw = (np.cross(b - a, c - a) * normals).sum(axis=1) < 0
     # neighbour k lies opposite vertex k, so both swap columns 1 and 2
@@ -109,22 +117,17 @@ def face_map(P: IndexedPolytope, tol: Tolerance = DEFAULT_TOLERANCE) -> Combinat
     # the edge opposite vertex k of a counterclockwise (t0, t1, t2) runs
     # from t[k+1] to t[k+2]
     cut = group[nbrs] != group[:, None]
-    owner = np.repeat(group, cut.sum(axis=1))
-    order = np.argsort(owner, kind="stable")
-    tails = tris[:, [1, 2, 0]][cut][order].tolist()
-    heads = tris[:, [2, 0, 1]][cut][order].tolist()
     ids = np.unique(group)
-    ends = np.searchsorted(owner[order], ids, side="right").tolist()
-    faces = []
-    for gid, start, end in zip(ids.tolist(), [0] + ends, ends):
-        cycle = chain_cycle(zip(tails[start:end], heads[start:end]))
-        if cycle is None:
-            raise DegenerateFaceMerge(
-                f"hull triangles merged with triangle {gid} (normals within "
-                f"fit_eps={tol.fit_eps:g} rad) have no simple boundary cycle"
-            )
-        faces.append([labels[i] for i in cycle])
-    return CombinatorialMap(faces, outer_face=None)
+    cycles, sizes, bad = _walk_cycles(np.repeat(np.searchsorted(ids, group), cut.sum(axis=1)),
+                                      tris[:, [1, 2, 0]][cut], tris[:, [2, 0, 1]][cut], len(ids))
+    if bad.any():
+        raise DegenerateFaceMerge(
+            f"hull triangles merged with triangle {int(ids[np.argmax(bad)])} (normals "
+            f"within fit_eps={tol.fit_eps:g} rad) have no simple boundary cycle"
+        )
+    by_label = sorted(range(len(labels)), key=labels.__getitem__)
+    return CombinatorialMap._from_cycles(tuple(map(labels.__getitem__, by_label)),
+                                         np.argsort(by_label)[cycles], sizes)
 
 
 def congruent(P, Q, tol: Tolerance = DEFAULT_TOLERANCE) -> Isometry | None:

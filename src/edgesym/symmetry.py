@@ -65,15 +65,6 @@ class VertexPermutation:
     def is_identity(self) -> bool:
         return bool((self._image == np.arange(len(self._image))).all())
 
-    def compose(self, other: "VertexPermutation") -> "VertexPermutation":
-        """self after other: x -> self(other(x))."""
-        if self._labels != other._labels:
-            raise ValueError("permutations act on different label sets")
-        return VertexPermutation._from_image(self._labels, self._image[other._image])
-
-    def inverse(self) -> "VertexPermutation":
-        return VertexPermutation._from_image(self._labels, np.argsort(self._image))
-
     def cycle_notation(self) -> str:
         """Nontrivial cycles, each from its smallest label, in label order;
         "()" for the identity."""
@@ -177,7 +168,7 @@ def _flag_tree(M: CombinatorialMap, seed: int):
 def _automorphisms(M: CombinatorialMap) -> tuple[np.ndarray, np.ndarray]:
     """Vertex and face image arrays, one row per automorphism of the map,
     sorted by vertex images; see `enumerate_symmetries`."""
-    n_v, n_f = len(M.vertices), len(M.faces)
+    n_v, n_f = len(M.vertices), len(M.face_sizes)
     seed = int(np.argmax(M.flag_face != M.outer_face)) if M.is_graph else 0
     tree = _flag_tree(M, seed)
     if tree is None:
@@ -242,9 +233,7 @@ class _Instance:
             raise IndexSetMismatch(f"labels {unshared} are not shared by coordinates and map")
         self.points = coords.take(M.vertices)
         self.diameter = coords.diameter
-        index = {l: i for i, l in enumerate(M.vertices)}
-        self.ends = np.array([[index[u], index[v]] for u, v in M.edges])
-        u, v = self.ends.T
+        u, v = M.edge_ends.T
         self.lengths = np.linalg.norm(self.points[u] - self.points[v], axis=1)
         # sorted, since M.edges and M.vertices are
         self.edge_codes = u * len(M.vertices) + v
@@ -269,7 +258,7 @@ class _Instance:
         eps = self.tol.length_eps(self.diameter)
         edge_ok, offending = [], []
         for block in _row_blocks(len(images), n_e):
-            ends = images[block][:, self.ends]
+            ends = images[block][:, self.M.edge_ends]
             a, b = ends[..., 0], ends[..., 1]
             codes = np.minimum(a, b) * n + np.maximum(a, b)
             hit = np.minimum(np.searchsorted(self.edge_codes, codes), n_e - 1)
@@ -312,7 +301,7 @@ def is_edge_preserving(M: CombinatorialMap, coords, sigma: VertexPermutation,
     first = int(offending[0])
     if first >= 0:
         u, v = M.edges[first]
-        iu, iv = (M.vertices[i] for i in row[0, inst.ends[first]])
+        iu, iv = (M.vertices[i] for i in row[0, M.edge_ends[first]])
         raise PermutationNotASymmetry(f"edge {{{u},{v}}} maps to non-edge {{{iu},{iv}}}")
     return bool(edge_ok[0])
 

@@ -79,21 +79,24 @@ def _classify(hyp: bool, concl: bool) -> str:
     return CLASS_FAILS_FAILS
 
 
-def _verdict(M: CombinatorialMap, coords: LabelledPoints, face_indices, tol: Tolerance,
+def _verdict(M: CombinatorialMap, coords: LabelledPoints, tol: Tolerance,
              instance_id: str) -> TheoremVerdict:
-    rows = [[coords.index[l] for l in M.faces[fi]] for fi in face_indices]
-    sizes = np.array([len(r) for r in rows])
+    points, sizes = coords.take(M.vertices), M.face_sizes.copy()
+    starts = np.cumsum(sizes) - sizes
+    if M.is_graph:
+        sizes[M.outer_face] = 0  # the outer face need not be inscribed
     hyp, worst, failed = True, 0.0, {}
-    for size in np.unique(sizes):  # one stack of faces per size
+    for size in np.unique(sizes[sizes > 0]):  # one stack of faces per size
         at = np.flatnonzero(sizes == size)
-        bad, fits = _fit_circles(coords.array[[rows[i] for i in at]], tol, polygon=True)
+        rows = M.face_vertices[starts[at, None] + np.arange(size)]
+        bad, fits = _fit_circles(points[rows], tol, polygon=True)
         if bad:
             failed[at[bad[0]]] = bad[1]
         else:
             hyp = hyp and bool(fits[0].all())
             worst = max(worst, float(np.fmax.reduce(fits[3])))  # fmax passes over NaN, as max does
     if failed:
-        raise failed[min(failed)]  # the first failing face in face_indices order
+        raise failed[min(failed)]  # the first failing face in face order
     report = analyze(M, coords, tol, instance_id=instance_id)
     violations = tuple(r for r in report.records if r.edge_preserving and not r.realized)
     concl = not violations
@@ -111,14 +114,13 @@ def verify_polytope_theorem(P: IndexedPolytope, tol: Tolerance = DEFAULT_TOLERAN
                             instance_id: str = "polytope") -> TheoremVerdict:
     """Inscribed test on every face of the polytope plus full symmetry
     analysis, composed into a verdict."""
-    M = face_map(P, tol)
-    return _verdict(M, P.vertices, range(len(M.faces)), tol, instance_id)
+    return _verdict(face_map(P, tol), P.vertices, tol, instance_id)
 
 
 def verify_graph_theorem(G: ConvexPlaneGraph, tol: Tolerance = DEFAULT_TOLERANCE,
                          instance_id: str = "graph") -> TheoremVerdict:
     """Same composition over the bounded faces of a convex plane graph."""
-    return _verdict(G.map, G.vertices, G.bounded_faces(), tol, instance_id)
+    return _verdict(G.map, G.vertices, tol, instance_id)
 
 
 def random_inscribed_polytope(n: int, seed: int) -> IndexedPolytope:

@@ -450,3 +450,189 @@ def per_face_inscribed(polygon, tol=DEFAULT_TOLERANCE) -> tuple[bool, CircleFit]
         raise DegeneratePolygon("polygon has (numerically) zero area")
     fit = _fit_circle(P, diam, tol)
     return fit.max_residual <= tol.fit_threshold(diam), fit
+
+
+# ``maps.CombinatorialMap.__init__`` as it was before the integer-array
+# core, code verbatim with the helpers it called, as the reference the core
+# must match attribute for attribute and error for error; and
+# ``maps.chain_cycle``, the per-face walk ``maps._walk_cycles`` replaced.
+
+
+def edge_key(u: str, v: str):
+    return (u, v) if u <= v else (v, u)
+
+
+def canonical_cycle(cycle) -> tuple[str, ...]:
+    """Rotate a simple cycle so its smallest label comes first (orientation kept)."""
+    seq = tuple(cycle)
+    i = seq.index(min(seq))
+    return seq[i:] + seq[:i]
+
+
+def cycle_key(cycle) -> tuple[str, ...]:
+    """Orientation-free canonical form: the smaller of the two rotated readings."""
+    fwd = canonical_cycle(cycle)
+    rev = canonical_cycle(tuple(reversed(cycle)))
+    return min(fwd, rev)
+
+
+def chain_cycle(pairs):
+    """The cycle u, succ(u), succ(succ(u)), ... read from the smallest tail
+    u of the (tail, head) pairs, or None unless they form one simple cycle."""
+    pairs = list(pairs)
+    succ = dict(pairs)
+    if not succ or len(succ) != len(pairs):
+        return None
+    start = min(succ)
+    cycle, cur = [start], succ[start]
+    while cur != start and len(cycle) < len(succ):
+        cycle.append(cur)
+        cur = succ.get(cur)
+    return cycle if cur == start and len(cycle) == len(succ) else None
+
+
+class ReferenceMap:
+    """The per-face construction of a map from labelled face cycles."""
+
+    def __init__(self, faces, outer_face=None):
+        raw = [tuple(str(v) for v in f) for f in faces]
+        if not raw:
+            raise ValueError("a map needs at least one face")
+        for f in raw:
+            if len(f) < 3:
+                raise ValueError(f"face cycle {f} has fewer than 3 vertices")
+            if len(set(f)) != len(f):
+                raise ValueError(f"face cycle {f} is not simple")
+        canon = [canonical_cycle(f) for f in raw]
+        order = sorted(range(len(canon)), key=lambda i: canon[i])
+        self.faces: tuple[tuple[str, ...], ...] = tuple(canon[i] for i in order)
+        if outer_face is None:
+            self.outer_face = None
+        else:
+            if not 0 <= outer_face < len(raw):
+                raise ValueError(f"outer face index {outer_face} out of range")
+            self.outer_face = order.index(outer_face)
+
+        edge_faces = {}
+        for fi, cyc in enumerate(self.faces):
+            for t in range(len(cyc)):
+                e = edge_key(cyc[t], cyc[(t + 1) % len(cyc)])
+                edge_faces.setdefault(e, []).append(fi)
+        for e, fs in edge_faces.items():
+            if len(fs) != 2 or fs[0] == fs[1]:
+                raise ValueError(f"edge {e} lies in faces {fs}, expected two distinct faces")
+        self.edges = tuple(sorted(edge_faces))
+        self.vertices: tuple[str, ...] = tuple(sorted({v for f in self.faces for v in f}))
+
+        if len(self.vertices) - len(self.edges) + len(self.faces) != 2:
+            raise ValueError(
+                f"Euler relation fails: V={len(self.vertices)} E={len(self.edges)} "
+                f"F={len(self.faces)}"
+            )
+
+        index = {v: i for i, v in enumerate(self.vertices)}
+        # Flags 2j and 2j+1 lie on the j-th edge of the face cycles read in
+        # face order, cyc[t]-cyc[t+1]: flag 2j at vertex cyc[t], 2j+1 at cyc[t+1].
+        sizes = np.array([len(cyc) for cyc in self.faces])
+        n_flags = 4 * len(self.edges)
+        flag_vertex = np.empty(n_flags, dtype=np.intp)
+        flag_vertex[0::2] = [index[v] for cyc in self.faces for v in cyc]
+        flag_vertex[1::2] = [index[v] for cyc in self.faces for v in cyc[1:] + cyc[:1]]
+        s0 = np.arange(n_flags) ^ 1
+        # s1 joins the flag at cyc[t] to the flag at cyc[t] on the previous edge.
+        at_tail = np.arange(0, n_flags, 2)
+        prev = at_tail - 1
+        face_start = 2 * np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        prev[face_start // 2] = face_start + 2 * sizes - 1
+        s1 = np.empty(n_flags, dtype=np.intp)
+        s1[at_tail], s1[prev] = prev, at_tail
+        # s2 joins the two flags on the same vertex and edge, one per face of
+        # the edge; sorted by (edge, vertex) they are neighbours.
+        lo = np.minimum(flag_vertex, flag_vertex[s0])
+        hi = np.maximum(flag_vertex, flag_vertex[s0])
+        by_edge = np.lexsort((flag_vertex, hi, lo))
+        s2 = np.empty(n_flags, dtype=np.intp)
+        s2[by_edge[0::2]], s2[by_edge[1::2]] = by_edge[1::2], by_edge[0::2]
+        self.flags = range(n_flags)
+        self.s0, self.s1, self.s2 = s0, s1, s2
+        self.flag_vertex = flag_vertex
+        # each edge at a vertex carries two of its flags, one per side
+        self.degree = np.bincount(flag_vertex) // 2
+        self.flag_face = np.repeat(np.arange(len(self.faces)), 2 * sizes)
+        self._face_keys = tuple(cycle_key(f) for f in self.faces)
+
+    def face_keys(self):
+        return self._face_keys
+
+
+# Finite point groups from generators (Coxeter, *Regular Polytopes*, 1973),
+# and the convex hulls of their orbits: every vertex lies on one sphere, so
+# every face is inscribed, and for a generic point the edge-preserving and
+# the realized symmetries of the hull are both exactly the group.
+
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _turn_z(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def group_closure(generators):
+    """Every product of the generators (3x3 orthogonal matrices), by
+    breadth-first search from the identity, as an array (|G|, 3, 3)."""
+    def key(m):
+        return tuple((np.round(m, 6) + 0.0).ravel())
+
+    found = {key(np.eye(3)): np.eye(3)}
+    frontier = [np.eye(3)]
+    while frontier:
+        new = []
+        for g in frontier:
+            for h in generators:
+                m = g @ h
+                if key(m) not in found:
+                    found[key(m)] = m
+                    new.append(m)
+        frontier = new
+    return np.array(list(found.values()))
+
+
+def point_group(name):
+    """The group T, Td, Th, O, Oh, I or Ih, or Dn or Dnh for n >= 2 (such as
+    "D7h"), as an array (|G|, 3, 3)."""
+    cycle = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # 3-fold, (1, 1, 1)
+    half_x = np.diag([1.0, -1.0, -1.0])  # 2-fold about the x axis
+    tetra = [cycle, half_x]
+    extra = {
+        "T": tetra,
+        "Td": tetra + [np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])],
+        "Th": tetra + [-np.eye(3)],
+        "O": [cycle, _turn_z(math.pi / 2)],
+        "Oh": [cycle, _turn_z(math.pi / 2), -np.eye(3)],
+        # a 5-fold rotation mapping the icosahedron (0, +-1, +-phi) to itself
+        "I": tetra + [0.5 * np.array([[1.0, -_PHI, 1 / _PHI], [_PHI, 1 / _PHI, -1.0],
+                                      [1 / _PHI, 1.0, _PHI]])],
+    }
+    extra["Ih"] = extra["I"] + [-np.eye(3)]
+    if name in extra:
+        return group_closure(extra[name])
+    n = int(name[1:].removesuffix("h"))
+    gens = [_turn_z(2 * math.pi / n), half_x]
+    if name.endswith("h"):
+        gens.append(np.diag([1.0, 1.0, -1.0]))
+    return group_closure(gens)
+
+
+def orbit_points(name, rng, orbits=1):
+    """Labelled points of the union of ``orbits`` orbits of seeded generic
+    unit points under the group ``name``, labelled "1".. in a random order
+    and moved by a random isometry (a reflection half the time)."""
+    group = point_group(name)
+    seeds = rng.normal(size=(orbits, 3))
+    seeds /= np.linalg.norm(seeds, axis=1)[:, None]
+    pts = np.concatenate([group @ p for p in seeds])
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    moved = pts @ (q * np.sign(np.diag(r))).T + rng.normal(size=3)
+    labels = rng.permutation(len(pts)) + 1
+    return [(str(label), p) for label, p in zip(labels, moved)]

@@ -185,3 +185,32 @@ class TestDeterminism:
             _, out1, _ = run(capsys, *argv)
             _, out2, _ = run(capsys, *argv)
             assert out1 == out2
+
+
+@pytest.fixture
+def hull_count(monkeypatch):
+    """The number of scipy ConvexHull objects built since the fixture ran."""
+    import scipy.spatial
+
+    built = []
+    real = scipy.spatial.ConvexHull
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+    return built
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_one_hull_per_off_file(capsys, tmp_path, hull_count, command):
+    # parsing checks the file's face records against the hull faces, and the
+    # command takes the face map again: both read the hull built with the
+    # polytope
+    path = tmp_path / "prism40.off"
+    path.write_text(write_off(gallery("prism:40")))
+    hull_count.clear()
+    code, out, _ = run(capsys, command, str(path))
+    assert code == 0 and json.loads(out)["payload"]
+    assert len(hull_count) == 1

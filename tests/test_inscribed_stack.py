@@ -180,10 +180,13 @@ def degenerate_face(kind, rng, k, dim=3):
 
 
 def stack_instance(polygons):
-    """Coordinates and a face list carrying each polygon on labels of its own."""
+    """Coordinates and a stand-in map with the face arrays ``_verdict``
+    reads, carrying each polygon on labels of its own."""
     labels = [[f"{i}.{j}" for j in range(len(P))] for i, P in enumerate(polygons)]
     coords = LabelledPoints((l, p) for ls, P in zip(labels, polygons) for l, p in zip(ls, P))
-    return SimpleNamespace(faces=[tuple(ls) for ls in labels]), coords
+    sizes = np.array([len(P) for P in polygons])
+    return SimpleNamespace(vertices=coords.labels, face_sizes=sizes, is_graph=False,
+                           face_vertices=np.arange(sizes.sum())), coords
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -209,7 +212,7 @@ def test_first_failing_face_raises_as_per_face(kind, dim, where):
     assert not any(error_of(per_face_inscribed, P) for P in polygons[:at])
     faces, coords = stack_instance(polygons)
     with pytest.raises(want[0]) as info:
-        verify._verdict(faces, coords, range(len(polygons)), DEFAULT_TOLERANCE, "bad")
+        verify._verdict(faces, coords, DEFAULT_TOLERANCE, "bad")
     assert (str(info.value), vars(info.value)) == want[1:]
     for P in polygons:
         assert_same_outcome(is_inscribed, per_face_inscribed, P)
@@ -245,6 +248,6 @@ def test_large_face_memory_is_bounded(monkeypatch):
 
     def fits():
         with pytest.raises(FitsDone):
-            verify._verdict(faces, coords, range(len(polygons)), DEFAULT_TOLERANCE, "big")
+            verify._verdict(faces, coords, DEFAULT_TOLERANCE, "big")
 
     assert peak_mib(fits) < 8.0

@@ -60,7 +60,7 @@ class TestBuild:
     def test_bounded_faces_ccw(self):
         G = gallery("hex_three_rhombi")
         for fi in G.bounded_faces():
-            poly = G.face_polygon(fi)
+            poly = G.vertices.take(G.map.faces[fi])
             nxt = np.roll(poly, -1, axis=0)
             area = 0.5 * (poly[:, 0] * nxt[:, 1] - poly[:, 1] * nxt[:, 0]).sum()
             assert area > 0
@@ -253,7 +253,7 @@ class TestAssembleCongruence:
         H = build_plane_graph([(l, R @ p) for l, p in G.vertices.items()], G.edges)
         iso = assemble_congruence(G, H)
         for fi in G.bounded_faces():
-            poly = G.face_polygon(fi)
+            poly = G.vertices.take(G.map.faces[fi])
             assert polygon_area(iso.apply(poly)) == pytest.approx(
                 polygon_area(poly), rel=1e-9
             )

@@ -28,6 +28,17 @@ def words(perms):
     return {p.word for p in perms}
 
 
+def compose(a, b):
+    """The word of a after b: x -> a(b(x))."""
+    return tuple(a(b(label)) for label in sorted(a.word))
+
+
+def inverse(a):
+    """The word of the inverse of a."""
+    back = {a(label): label for label in a.word}
+    return tuple(back[label] for label in sorted(a.word))
+
+
 class TestVertexPermutation:
     def test_bijection_required(self):
         with pytest.raises(ValueError):
@@ -37,12 +48,6 @@ class TestVertexPermutation:
         p = VertexPermutation({"1": "4", "2": "1", "3": "2", "4": "3"})
         assert p.cycle_notation() == "(1 4 3 2)"
         assert VertexPermutation.identity(["1", "2"]).cycle_notation() == "()"
-
-    def test_compose_and_inverse(self):
-        p = VertexPermutation({"1": "2", "2": "3", "3": "1"})
-        assert p.compose(p.inverse()).is_identity()
-        q = p.compose(p)
-        assert q("1") == "3"
 
 
 class TestEnumeration:
@@ -82,9 +87,9 @@ class TestEnumeration:
             ws = words(perms)
             assert VertexPermutation.identity(M.vertices).word in ws
             for a in perms:
-                assert a.inverse().word in ws
+                assert inverse(a) in ws
                 for b in perms:
-                    assert a.compose(b).word in ws
+                    assert compose(a, b) in ws
 
     @pytest.mark.parametrize("spec", ["prism:120", "antiprism:120"])
     def test_dihedral_order_at_scale(self, spec):
@@ -379,4 +384,4 @@ class TestAnalyze:
         plus_words = {p.word for p in plus}
         for a in plus:
             for b in plus:
-                assert a.compose(b).word in plus_words
+                assert compose(a, b) in plus_words

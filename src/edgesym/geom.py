@@ -16,6 +16,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._linalg import _raise_linalgerror_lstsq
+from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
 
 from .errors import (
     CollinearPoints,
@@ -369,15 +371,23 @@ def _fit_one(points, tol: Tolerance, polygon: bool) -> tuple[bool, CircleFit]:
     return bool(ok), CircleFit(center, float(radius), float(max_res), normal)
 
 
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """numpy's ``lstsq(A[i], b[i], rcond=None)[0]`` for every i, in one gufunc call."""
+    rcond = np.finfo(float).eps * max(A.shape[1:])
+    with np.errstate(call=_raise_linalgerror_lstsq, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _lstsq_gufunc(A, b[..., None], rcond, signature="ddd->ddid")[0][..., 0]
+
+
 def _fit_circles(S: np.ndarray, tol: Tolerance, polygon: bool):
     """The circle fit of each face of a stack (F, k, d), one row per face:
     whether the worst residual is within ``fit_eps`` times the face
     diameter, center, radius, worst residual and (None in 2D) unit normal.
 
-    Each face gets the arithmetic of a fit of it alone: centred points, a
-    Kasa algebraic seed, then Gauss-Newton on the geometric distance up to
-    its own last step, 3D faces projected onto their best plane and the
-    center lifted back. Only the least-squares solves run face by face.
+    Each face gets the arithmetic of a fit of it alone (centred points, a
+    Kasa seed, Gauss-Newton on the geometric distance up to its own last
+    step, 3D faces projected onto their best plane, the center lifted back);
+    each least-squares solve is one LAPACK call for the whole stack.
     The checks are those of ``is_inscribed``, or of ``fit_circle`` unless
     ``polygon``. Returns (None, fits), or ((i, error), None) if a face
     fails one, i being the stack position of the first that does.
@@ -418,7 +428,7 @@ def _fit_circles(S: np.ndarray, tol: Tolerance, polygon: bool):
     # Algebraic seed: 2*cx*x + 2*cy*y + c = x^2 + y^2 in least squares;
     # then x holds (cx, cy, r) of each face.
     A = np.concatenate([2.0 * Q, np.ones((F, k, 1))], axis=2)
-    x = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(A, (Q * Q).sum(axis=2))])
+    x = _lstsq(A, (Q * Q).sum(axis=2))
     x[:, 2] = np.sqrt(np.maximum(x[:, 2] + x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1], 0.0))
     # Geometric refinement: Gauss-Newton on sum (|p - center| - r)^2 over
     # the faces still refining.
@@ -433,7 +443,7 @@ def _fit_circles(S: np.ndarray, tol: Tolerance, polygon: bool):
             break
         J = np.concatenate([-diff / dist[..., None], np.full(dist.shape + (1,), -1.0)], axis=2)
         res = dist - x[live, 2, None]
-        step = np.array([np.linalg.lstsq(j, -e, rcond=None)[0] for j, e in zip(J, res)])
+        step = _lstsq(J, -res)
         x[live] += step
         live = live[~(np.abs(step).max(axis=1) <= 1e-15 * np.maximum(np.abs(x[live, 2]), 1e-30))]
     diff = Q - x[:, None, :2]

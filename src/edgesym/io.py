@@ -148,6 +148,8 @@ def parse_off(text: str, tol: Tolerance | None = None,
             raise InputFormatError(
                 f"{source}:{lineno}: bad face record {line!r}"
             ) from None
+        if k < 3:
+            raise InputFormatError(f"{source}:{lineno}: a face needs 3 or more vertices: {line!r}")
         if len(indices) != k:
             raise InputFormatError(
                 f"{source}:{lineno}: face record declares {k} vertices, lists {len(indices)}"

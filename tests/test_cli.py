@@ -127,6 +127,14 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "non-finite coordinate" in err
 
+    def test_empty_off_face_record_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.off"
+        path.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}:7: a face needs 3 or more vertices: '0'\n"
+
     def test_tol_scaling_echoed(self, capsys):
         code, out, _ = run(capsys, "verify", "--gallery", "cube", "--tol", "10")
         doc = json.loads(out)

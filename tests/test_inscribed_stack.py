@@ -251,3 +251,38 @@ def test_large_face_memory_is_bounded(monkeypatch):
             verify._verdict(faces, coords, DEFAULT_TOLERANCE, "big")
 
     assert peak_mib(fits) < 8.0
+
+
+@pytest.mark.parametrize("make, check", [
+    (lambda: random_inscribed_polytope(200, 0), verify_polytope_theorem),
+    (lambda: random_triangulation(100, 0), verify_graph_theorem),
+], ids=["sphere-200", "triangulation-100"])
+def test_one_solve_per_stack_and_step(monkeypatch, make, check):
+    """No per-face least-squares solve: each face-size stack takes the
+    stacked solve once for its seed and once per Gauss-Newton step."""
+    inst = make()
+
+    def per_face(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called during verify")
+
+    monkeypatch.setattr(np.linalg, "lstsq", per_face)
+    stacks, solves = [], []
+    fit_circles, lstsq = geom._fit_circles, geom._lstsq
+
+    def counted_fit(S, *args, **kwargs):
+        stacks.append((S.shape, len(solves)))
+        return fit_circles(S, *args, **kwargs)
+
+    def counted_lstsq(A, b):
+        solves.append(A.shape)
+        return lstsq(A, b)
+
+    monkeypatch.setattr(verify, "_fit_circles", counted_fit)
+    monkeypatch.setattr(geom, "_lstsq", counted_lstsq)
+    assert check(inst).hypothesis_holds
+    assert stacks
+    for i, ((F, k, _), first) in enumerate(stacks):
+        mine = solves[first:stacks[i + 1][1] if i + 1 < len(stacks) else len(solves)]
+        assert 2 <= len(mine) <= 21
+        assert mine[0] == (F, k, 3)  # the seed, every face at once
+        assert all(L <= F and (m, n) == (k, 3) for L, m, n in mine)

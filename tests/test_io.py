@@ -76,6 +76,12 @@ class TestOff:
         with pytest.raises(InputFormatError, match="unknown vertex index 9"):
             parse_off(text)
 
+    @pytest.mark.parametrize("record", ["0", "1 0", "2 0 1", "-1"])
+    def test_face_with_fewer_than_3_vertices(self, record):
+        text = f"OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n{record}\n"
+        with pytest.raises(InputFormatError, match=r"^src\.off:7: a face needs 3 or more"):
+            parse_off(text, source="src.off")
+
     def test_face_mismatch_warns(self):
         text = "OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n"
         with pytest.warns(OffFaceMismatchWarning):

@@ -130,15 +130,17 @@ def diameter_of(points) -> float:
 
 def _diameters(S: np.ndarray) -> np.ndarray:
     """``diameter_of`` of each point set of a stack (F, k, d), in blocks of
-    about _BLOCK elements: of whole point sets, and of rows within one."""
+    about _BLOCK elements: of whole point sets, and of rows within one. The
+    squares add up left to right, as a sum over the last axis does, and the
+    monotone sqrt is taken once, of the largest."""
     F, k, d = S.shape
     best = np.full(F, -np.inf)
     for sets in _row_blocks(F, k * k * d):
         for rows in _row_blocks(k, S[sets].size):
-            diff = S[sets, rows, None, :] - S[sets, None, rows.start:, :]
-            dist = np.sqrt((diff * diff).sum(axis=-1)).max(axis=(1, 2))
-            best[sets] = np.maximum(best[sets], dist)
-    return best
+            sq = sum((S[sets, rows, None, c] - S[sets, None, rows.start:, c]) ** 2
+                     for c in range(d))
+            best[sets] = np.maximum(best[sets], sq.max(axis=(1, 2)))
+    return np.sqrt(best)
 
 
 class LabelledPoints(Mapping):

@@ -1,11 +1,13 @@
 """Convex plane graphs.
 
 Straight-line embeddings whose bounded faces are convex polygons and whose
-outer boundary is a simple polygon. Faces are derived from the rotation
-system, never supplied. Also implements the boundary decomposition of such
-a graph along a face touching the outer boundary, and the recursive
-assembly deciding whether two combinatorially equivalent graphs with
-congruent faces are congruent as a whole.
+outer boundary is a simple polygon. Faces are derived from the embedding,
+never supplied: the darts (directed edges) are numbered counterclockwise
+around each vertex, and the faces are the orbits of the dart permutation
+(a, b) -> (b, the predecessor of a around b). Also implements the
+boundary decomposition of such a graph along a face touching the outer
+boundary, and the recursive assembly deciding whether two combinatorially
+equivalent graphs with congruent faces are congruent as a whole.
 """
 
 from __future__ import annotations
@@ -54,11 +56,6 @@ class ConvexPlaneGraph:
 
     def bounded_faces(self) -> list[int]:
         return [i for i in range(len(self.map.face_sizes)) if i != self.map.outer_face]
-
-
-def _signed_area(poly: np.ndarray) -> float:
-    nxt = np.roll(poly, -1, axis=0)
-    return 0.5 * float((poly[:, 0] * nxt[:, 1] - poly[:, 1] * nxt[:, 0]).sum())
 
 
 _PAIR_BLOCK = 1 << 16  # candidate pairs tested at once; bounds the temporaries
@@ -176,38 +173,16 @@ def _check_crossings(coords: np.ndarray, edges: list[tuple[int, int]],
         r0 = r1
 
 
-def _trace_faces(adj: dict[str, list[str]]) -> list[list[str]]:
-    # adj: neighbors in counterclockwise angular order. Walking to the
-    # predecessor of the incoming direction keeps the face on the left,
-    # so bounded faces come out counterclockwise and the outer face clockwise.
-    index_of = {v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in adj.items()}
-    visited: set[tuple[str, str]] = set()
-    cycles = []
-    for u in sorted(adj):
-        for v in adj[u]:
-            if (u, v) in visited:
-                continue
-            cycle = []
-            a, b = u, v
-            while True:
-                visited.add((a, b))
-                cycle.append(a)
-                nbrs = adj[b]
-                c = nbrs[(index_of[b][a] - 1) % len(nbrs)]
-                a, b = b, c
-                if (a, b) == (u, v):
-                    break
-            cycles.append(cycle)
-    return cycles
-
-
 def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> ConvexPlaneGraph:
     """Build and validate a convex plane graph from labelled points and edges.
 
-    The rotation system is derived by sorting incident edges by angle at
-    each vertex; faces are traced from it, the outer face is the unique
-    cycle of negative signed area, and all convexity/simplicity invariants
-    are checked.
+    Past the edge, connectivity and crossing checks, the build runs on
+    arrays of the 2E darts: one lexsort by (tail, angle, head), vertices
+    numbered in sorted label order, numbers them counterclockwise around
+    each tail, and each face is read from its smallest dart. The outer face
+    is the one walk of negative signed area; every walk must be simple and
+    every bounded one strictly convex. An error names the first bad face in
+    dart order, and its first bad corner.
     """
     vertices = LabelledPoints(points)
     labels, index, coords = vertices.labels, vertices.index, vertices.array
@@ -232,11 +207,9 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
     for u, v in edge_set:
         neighbor_lists[u].append(v)
         neighbor_lists[v].append(u)
-    stack = [labels[0]]
-    reached = {labels[0]}
+    stack, reached = [labels[0]], {labels[0]}
     while stack:
-        cur = stack.pop()
-        for nb in neighbor_lists[cur]:
+        for nb in neighbor_lists[stack.pop()]:
             if nb not in reached:
                 reached.add(nb)
                 stack.append(nb)
@@ -245,51 +218,73 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
         raise Disconnected(f"vertices {missing} are not connected to {labels[0]!r}")
 
     eps = tol.length_eps(vertices.diameter)
-    int_edges = [(index[u], index[v]) for u, v in sorted(edge_set)]
+    edge_list = sorted(edge_set)
+    int_edges = [(index[u], index[v]) for u, v in edge_list]
     _check_crossings(coords, int_edges, labels, eps)
 
-    # rotation system: counterclockwise by angle, with a tie meaning two
-    # overlapping collinear edges at a vertex
-    adj: dict[str, list[str]] = {}
-    for v, nbrs in neighbor_lists.items():
-        offsets = (vertices.take(nbrs) - coords[index[v]]).tolist()
-        angles = sorted((math.atan2(y, x), u) for u, (x, y) in zip(nbrs, offsets))
-        for (a1, u1), (a2, u2) in zip(angles, angles[1:]):
-            if a2 - a1 < 1e-12:
-                raise EdgeCrossing(f"edges ({v},{u1}) and ({v},{u2}) overlap at vertex {v}")
-        adj[v] = [u for _, u in angles]
+    # rotation system: darts 2e and 2e + 1 run both ways along edge e. The
+    # angles come from math.atan2: np.arctan2 rounds some inputs differently
+    by_label = np.array(sorted(range(len(labels)), key=labels.__getitem__))
+    names, xy = tuple(labels[i] for i in by_label.tolist()), coords[by_label]
+    ends = np.argsort(by_label)[np.array(int_edges)]
+    tail, head = ends.ravel(), ends[:, ::-1].ravel()
+    vec = xy[head] - xy[tail]
+    angle = np.array(list(map(math.atan2, vec[:, 1].tolist(), vec[:, 0].tolist())))
+    perm = np.lexsort((head, angle, tail))
+    tail, head, angle, vec = tail[perm], head[perm], angle[perm], vec[perm]
+    tie = np.flatnonzero((tail[1:] == tail[:-1]) & (angle[1:] - angle[:-1] < 1e-12))
+    if len(tie):
+        d = tie[np.argmin(by_label[tail[tie]])]  # at the first such vertex in input order
+        v, u1, u2 = names[tail[d]], names[head[d]], names[head[d + 1]]
+        raise EdgeCrossing(f"edges ({v},{u1}) and ({v},{u2}) overlap at vertex {v}")
 
-    cycles = _trace_faces(adj)
-    areas = [_signed_area(vertices.take(cyc)) for cyc in cycles]
-    negative = [i for i, a in enumerate(areas) if a < 0]
+    # faces: each dart takes the smallest dart of its orbit by doubling the
+    # steps taken, and _walk_cycles reads each orbit from that dart
+    darts, first = np.arange(len(tail)), np.searchsorted(tail, tail)
+    prev = first + (darts - first - 1) % np.bincount(tail)[tail]  # around the tail
+    succ = prev[np.argsort(perm)[perm ^ 1]]  # prev of the reverse dart
+    low, jump = darts, succ
+    while not np.array_equal(low, nxt := np.minimum(low, low[jump])):
+        low, jump = nxt, jump[jump]
+    smallest, orbit = np.unique(low, return_inverse=True)
+    walk, sizes, _ = _walk_cycles(orbit, darts, succ, len(smallest))
+    cycles, starts = tail[walk], np.cumsum(sizes) - sizes
+
+    def cycle(fi):
+        return [names[i] for i in cycles[starts[fi]:starts[fi] + sizes[fi]].tolist()]
+
+    # signed areas in one stack per face size: numpy sums each row of a stack
+    # as it sums that face alone, so the signs of rounding-level areas agree
+    terms = xy[cycles, 0] * xy[head[walk], 1] - xy[cycles, 1] * xy[head[walk], 0]
+    area = np.empty(len(sizes))
+    for k in np.unique(sizes).tolist():
+        fs = np.flatnonzero(sizes == k)
+        area[fs] = 0.5 * terms[starts[fs, None] + np.arange(k)].sum(axis=1)
+    negative = np.flatnonzero(area < 0)
     if len(negative) != 1:
-        raise NonSimpleOuterBoundary(
-            f"expected exactly one outer walk, found {len(negative)}"
-        )
-    outer = negative[0]
+        raise NonSimpleOuterBoundary(f"expected exactly one outer walk, found {len(negative)}")
+    outer = int(negative[0])
 
-    if len(set(cycles[outer])) != len(cycles[outer]):
-        raise NonSimpleOuterBoundary(
-            f"outer boundary revisits a vertex: {cycles[outer]}"
+    key = np.sort(orbit[walk] * len(names) + cycles)
+    revisits = np.bincount(key[1:][key[1:] == key[:-1]] // len(names), minlength=len(sizes)) > 0
+    if revisits[outer]:
+        raise NonSimpleOuterBoundary(f"outer boundary revisits a vertex: {cycle(outer)}")
+    a, b = vec[np.argsort(succ)[walk]], vec[walk]  # into and out of each corner
+    turn = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1])
+    sharp = ~((_MIN_TURN <= turn) & (turn <= math.pi - _MIN_TURN))
+    bad = revisits | (np.bincount(orbit[walk][sharp], minlength=len(sizes)) > 0)
+    bad[outer] = False
+    if bad.any():
+        fi = int(np.argmax(bad))
+        if revisits[fi]:
+            raise NonConvexBoundedFace(f"bounded face walk {cycle(fi)} revisits a vertex")
+        t = int(np.argmax(sharp[starts[fi]:starts[fi] + sizes[fi]]))
+        raise NonConvexBoundedFace(
+            f"face {tuple(cycle(fi))} is not strictly convex at vertex {cycle(fi)[t]}"
         )
-    for i, cyc in enumerate(cycles):
-        if i == outer:
-            continue
-        if len(set(cyc)) != len(cyc):
-            raise NonConvexBoundedFace(f"bounded face walk {cyc} revisits a vertex")
-        poly = vertices.take(cyc)
-        vecs = np.roll(poly, -1, axis=0) - poly
-        for t in range(len(cyc)):
-            a = vecs[t - 1]
-            b = vecs[t]
-            turn = math.atan2(a[0] * b[1] - a[1] * b[0], float(a @ b))
-            if not (_MIN_TURN <= turn <= math.pi - _MIN_TURN):
-                raise NonConvexBoundedFace(
-                    f"face {tuple(cyc)} is not strictly convex at vertex {cyc[t]}"
-                )
 
-    cmap = CombinatorialMap(cycles, outer_face=outer)
-    return ConvexPlaneGraph(vertices=vertices, edges=tuple(sorted(edge_set)), map=cmap)
+    cmap = CombinatorialMap._from_cycles(names, cycles, sizes, outer_face=outer)
+    return ConvexPlaneGraph(vertices=vertices, edges=tuple(edge_list), map=cmap)
 
 
 class _Regions:

@@ -44,10 +44,13 @@ class IndexedPolytope:
     @cached_property
     def hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``simplices``, ``neighbors`` and ``equations`` of the convex hull,
-        computed once, like the diameter."""
-        from scipy.spatial import ConvexHull  # imported here: scipy.spatial loads slowly
+        computed once, like the diameter; a Qhull failure is NotFullDimensional."""
+        from scipy.spatial import ConvexHull, QhullError  # here: scipy.spatial loads slowly
 
-        hull = ConvexHull(self.vertices.array)
+        try:
+            hull = ConvexHull(self.vertices.array)
+        except QhullError as exc:
+            raise NotFullDimensional(f"Qhull failed: {str(exc).splitlines()[0]}") from exc
         return hull.simplices, hull.neighbors, hull.equations
 
 

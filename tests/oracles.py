@@ -15,10 +15,17 @@ from edgesym.errors import (
     CollinearPoints,
     DegenerateFaceMerge,
     DegeneratePolygon,
+    Disconnected,
+    DimensionMismatch,
+    EdgeCrossing,
+    NonConvexBoundedFace,
     NonCoplanarPoints,
+    NonSimpleOuterBoundary,
 )
-from edgesym.geom import DEFAULT_TOLERANCE, CircleFit, Tolerance, _as_points, _row_blocks
+from edgesym.geom import (DEFAULT_TOLERANCE, CircleFit, LabelledPoints, Tolerance, _as_points,
+                          _row_blocks)
 from edgesym.maps import CombinatorialMap
+from edgesym.planegraph import _MIN_TURN, ConvexPlaneGraph, _check_crossings
 
 
 def oracle_cycle_key(cycle):
@@ -636,3 +643,129 @@ def orbit_points(name, rng, orbits=1):
     moved = pts @ (q * np.sign(np.diag(r))).T + rng.normal(size=3)
     labels = rng.permutation(len(pts)) + 1
     return [(str(label), p) for label, p in zip(labels, moved)]
+
+
+# ``planegraph.build_plane_graph`` as it was before the dart arrays, code
+# verbatim with the helpers it called, as the reference the array build
+# must match map for map and error for error.
+
+
+def _signed_area(poly: np.ndarray) -> float:
+    nxt = np.roll(poly, -1, axis=0)
+    return 0.5 * float((poly[:, 0] * nxt[:, 1] - poly[:, 1] * nxt[:, 0]).sum())
+
+
+def _trace_faces(adj: dict[str, list[str]]) -> list[list[str]]:
+    # adj: neighbors in counterclockwise angular order. Walking to the
+    # predecessor of the incoming direction keeps the face on the left,
+    # so bounded faces come out counterclockwise and the outer face clockwise.
+    index_of = {v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in adj.items()}
+    visited: set[tuple[str, str]] = set()
+    cycles = []
+    for u in sorted(adj):
+        for v in adj[u]:
+            if (u, v) in visited:
+                continue
+            cycle = []
+            a, b = u, v
+            while True:
+                visited.add((a, b))
+                cycle.append(a)
+                nbrs = adj[b]
+                c = nbrs[(index_of[b][a] - 1) % len(nbrs)]
+                a, b = b, c
+                if (a, b) == (u, v):
+                    break
+            cycles.append(cycle)
+    return cycles
+
+
+def per_face_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> ConvexPlaneGraph:
+    """Build and validate a convex plane graph from labelled points and edges.
+
+    The rotation system is derived by sorting incident edges by angle at
+    each vertex; faces are traced from it, the outer face is the unique
+    cycle of negative signed area, and all convexity/simplicity invariants
+    are checked.
+    """
+    vertices = LabelledPoints(points)
+    labels, index, coords = vertices.labels, vertices.index, vertices.array
+    if coords.ndim != 2 or coords.shape[1] != 2:
+        raise DimensionMismatch(f"expected (n, 2) coordinates, got shape {coords.shape}")
+    if len(coords) < 3:
+        raise ValueError(f"a plane graph needs at least 3 vertices, got {len(coords)}")
+
+    edge_set: set[tuple[str, str]] = set()
+    for u, v in edges:
+        u, v = str(u), str(v)
+        if u not in index or v not in index:
+            raise ValueError(f"edge ({u}, {v}) references an unknown vertex label")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        edge_set.add(edge_key(u, v))
+    if not edge_set:
+        raise Disconnected("graph has no edges")
+
+    # connectivity
+    neighbor_lists: dict[str, list[str]] = {l: [] for l in labels}
+    for u, v in edge_set:
+        neighbor_lists[u].append(v)
+        neighbor_lists[v].append(u)
+    stack = [labels[0]]
+    reached = {labels[0]}
+    while stack:
+        cur = stack.pop()
+        for nb in neighbor_lists[cur]:
+            if nb not in reached:
+                reached.add(nb)
+                stack.append(nb)
+    if len(reached) != len(labels):
+        missing = sorted(set(labels) - reached)
+        raise Disconnected(f"vertices {missing} are not connected to {labels[0]!r}")
+
+    eps = tol.length_eps(vertices.diameter)
+    int_edges = [(index[u], index[v]) for u, v in sorted(edge_set)]
+    _check_crossings(coords, int_edges, labels, eps)
+
+    # rotation system: counterclockwise by angle, with a tie meaning two
+    # overlapping collinear edges at a vertex
+    adj: dict[str, list[str]] = {}
+    for v, nbrs in neighbor_lists.items():
+        offsets = (vertices.take(nbrs) - coords[index[v]]).tolist()
+        angles = sorted((math.atan2(y, x), u) for u, (x, y) in zip(nbrs, offsets))
+        for (a1, u1), (a2, u2) in zip(angles, angles[1:]):
+            if a2 - a1 < 1e-12:
+                raise EdgeCrossing(f"edges ({v},{u1}) and ({v},{u2}) overlap at vertex {v}")
+        adj[v] = [u for _, u in angles]
+
+    cycles = _trace_faces(adj)
+    areas = [_signed_area(vertices.take(cyc)) for cyc in cycles]
+    negative = [i for i, a in enumerate(areas) if a < 0]
+    if len(negative) != 1:
+        raise NonSimpleOuterBoundary(
+            f"expected exactly one outer walk, found {len(negative)}"
+        )
+    outer = negative[0]
+
+    if len(set(cycles[outer])) != len(cycles[outer]):
+        raise NonSimpleOuterBoundary(
+            f"outer boundary revisits a vertex: {cycles[outer]}"
+        )
+    for i, cyc in enumerate(cycles):
+        if i == outer:
+            continue
+        if len(set(cyc)) != len(cyc):
+            raise NonConvexBoundedFace(f"bounded face walk {cyc} revisits a vertex")
+        poly = vertices.take(cyc)
+        vecs = np.roll(poly, -1, axis=0) - poly
+        for t in range(len(cyc)):
+            a = vecs[t - 1]
+            b = vecs[t]
+            turn = math.atan2(a[0] * b[1] - a[1] * b[0], float(a @ b))
+            if not (_MIN_TURN <= turn <= math.pi - _MIN_TURN):
+                raise NonConvexBoundedFace(
+                    f"face {tuple(cyc)} is not strictly convex at vertex {cyc[t]}"
+                )
+
+    cmap = CombinatorialMap(cycles, outer_face=outer)
+    return ConvexPlaneGraph(vertices=vertices, edges=tuple(sorted(edge_set)), map=cmap)

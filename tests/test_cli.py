@@ -135,6 +135,16 @@ class TestVerify:
         assert out == ""
         assert err == f"error: {path}:7: a face needs 3 or more vertices: '0'\n"
 
+    def test_qhull_failure_is_input_error(self, capsys, tmp_path):
+        # squared lengths near 1e300 leave Qhull no room for its roundoff
+        path = tmp_path / "huge_cube.off"
+        corners = [(x, y, z) for x in (0, 1e150) for y in (0, 1e150) for z in (0, 1e150)]
+        path.write_text("OFF\n8 0 0\n" + "".join(f"{x} {y} {z}\n" for x, y, z in corners))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Qhull failed: QH") and err.count("\n") == 1
+
     def test_tol_scaling_echoed(self, capsys):
         code, out, _ = run(capsys, "verify", "--gallery", "cube", "--tol", "10")
         doc = json.loads(out)

@@ -27,6 +27,7 @@ from edgesym.geom import (
     fit_circle,
     is_inscribed,
     reconstruct_inscribed_polygon,
+    _diameters,
     _lstsq,
 )
 from oracles import (
@@ -71,6 +72,23 @@ class TestDiameter:
         expected = one_pass_diameter(cloud)
         assert diameter_of(cloud) == expected
         assert diameter_of(cloud[rng.permutation(n)]) == expected
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_sphere_bit_identical_to_one_pass(self, n, scale):
+        # many pairs lie within a few ulp of the largest distance
+        cloud = np.random.default_rng(n).normal(size=(n, 3))
+        cloud *= scale / np.linalg.norm(cloud, axis=1)[:, None]
+        assert diameter_of(cloud) == one_pass_diameter(cloud)
+
+    @pytest.mark.parametrize("k", [3, 4, 9, 70])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_face_stack_bit_identical_to_one_pass(self, k, d):
+        rng = np.random.default_rng(k + d)
+        stack = rng.normal(size=(300, k, d)) * rng.uniform(1e-3, 1e3, size=(300, 1, 1))
+        stack[7, k - 1, d - 1] = np.nan
+        want = np.array([one_pass_diameter(points) for points in stack])
+        assert _diameters(stack).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [3, 257, 1000])
     @pytest.mark.parametrize("first", [True, False])

@@ -12,7 +12,6 @@ from .geom import (
     best_fit_isometry,
     circumradius_from_sides,
     diameter_of,
-    fit_circle,
     is_inscribed,
     reconstruct_inscribed_polygon,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "diameter_of",
     "enumerate_symmetries",
     "face_map",
-    "fit_circle",
     "gallery",
     "gallery_names",
     "is_edge_preserving",

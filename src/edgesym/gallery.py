@@ -147,6 +147,10 @@ def twisted_squares(s_out: float, s_in: float, alpha_deg: float,
                     tol: Tolerance = DEFAULT_TOLERANCE) -> ConvexPlaneGraph:
     """Two concentric squares (1 2 3 4) and (5 6 7 8) joined by the spokes
     (15), (26), (37), (48), the inner square turned by alpha_deg."""
+    if not all(map(math.isfinite, (s_out, s_in, alpha_deg))):
+        raise InvalidGalleryParameter(
+            f"need finite parameters, got s_out={s_out}, s_in={s_in}, alpha_deg={alpha_deg}"
+        )
     if s_in <= 0 or s_out <= s_in:
         raise InvalidGalleryParameter(
             f"need 0 < s_in < s_out, got s_in={s_in}, s_out={s_out}"

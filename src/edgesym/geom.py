@@ -41,7 +41,6 @@ __all__ = [
     "best_fit_isometry",
     "circumradius_from_sides",
     "diameter_of",
-    "fit_circle",
     "is_inscribed",
     "polygon_area",
     "reconstruct_inscribed_polygon",
@@ -275,7 +274,8 @@ def best_fit_isometry(src, dst, allow_reflection: bool = True) -> tuple[Isometry
 
     Minimizes sum |rho(src_i) - dst_i|^2 over rotations, or over all
     orthogonal maps when ``allow_reflection`` is set. Returns the optimal
-    isometry and the RMS residual.
+    isometry and the RMS residual: the fit of ``_procrustes`` with one
+    target point set.
     """
     A = _as_points(src)
     B = np.asarray(dst, dtype=float)
@@ -290,19 +290,27 @@ def best_fit_isometry(src, dst, allow_reflection: bool = True) -> tuple[Isometry
             UnderdeterminedFitWarning,
             stacklevel=2,
         )
+    linear, translation, rmsd = _procrustes(A, B[None], allow_reflection)
+    return Isometry(linear[0], translation[0]), float(rmsd[0])
+
+
+def _procrustes(A: np.ndarray, B: np.ndarray, allow_reflection: bool = True):
+    """Kabsch fit of the points A (n, d) onto each point set of the stack
+    B (F, n, d): linear parts (F, d, d), translations (F, d) and RMS
+    residuals (F,). Without ``allow_reflection``, a fit whose linear part
+    is a reflection is redone with the last singular direction flipped."""
+    n, d = A.shape
     ca = A.mean(axis=0)
-    cb = B.mean(axis=0)
-    H = (A - ca).T @ (B - cb)
-    U, _sing, Vt = np.linalg.svd(H)
-    R = Vt.T @ U.T
-    if not allow_reflection and np.linalg.det(R) < 0:
-        flip = np.eye(d)
-        flip[-1, -1] = -1.0
-        R = Vt.T @ flip @ U.T
+    cb = B.mean(axis=1)
+    U, _sing, Vt = np.linalg.svd((A - ca).T @ (B - cb[:, None]))
+    R = np.swapaxes(Vt, 1, 2) @ np.swapaxes(U, 1, 2)
+    if not allow_reflection:
+        flip = np.linalg.det(R) < 0
+        R[flip] = (np.swapaxes(Vt[flip], 1, 2) @ np.diag([1.0] * (d - 1) + [-1.0])
+                   @ np.swapaxes(U[flip], 1, 2))
     t = cb - R @ ca
-    resid = A @ R.T + t - B
-    rmsd = float(np.sqrt((resid * resid).sum() / n))
-    return Isometry(R, t), rmsd
+    resid = A @ np.swapaxes(R, 1, 2) + t[:, None] - B
+    return R, t, np.sqrt((resid * resid).reshape(len(B), n * d).sum(axis=1) / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,16 +334,6 @@ class CircleFit:
         return doc
 
 
-def fit_circle(points, tol: Tolerance = DEFAULT_TOLERANCE) -> CircleFit:
-    """Least-squares circle through 2D points or coplanar 3D points.
-
-    Algebraic fit seeded into at most 20 Gauss-Newton steps on the
-    geometric distance; deterministic for a fixed input order. 3D input is
-    checked for coplanarity, projected, fitted, and lifted back.
-    """
-    return _fit_one(points, tol, polygon=False)[1]
-
-
 def polygon_area(polygon) -> float:
     """Unsigned area of a (possibly 3D, planar) polygon given in boundary order."""
     P = _as_points(polygon)[None]
@@ -356,17 +354,14 @@ def _areas(Q: np.ndarray) -> np.ndarray:
 
 
 def is_inscribed(polygon, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, CircleFit]:
-    """Concyclicity verdict for a convex polygon given in boundary order.
+    """Concyclicity verdict and best-fit circle of a convex polygon given in
+    boundary order, 2D or 3D coplanar.
 
     True iff the best-fit circle's worst residual is at most
     ``fit_eps`` times the polygon diameter, making the verdict
-    scale-invariant.
+    scale-invariant. The fit is that of ``_fit_circles`` on a stack of one.
     """
-    return _fit_one(polygon, tol, polygon=True)
-
-
-def _fit_one(points, tol: Tolerance, polygon: bool) -> tuple[bool, CircleFit]:
-    failed, fits = _fit_circles(_as_points(points)[None], tol, polygon)
+    failed, fits = _fit_circles(_as_points(polygon)[None], tol)
     if failed:
         raise failed[1]
     ok, center, radius, max_res, normal = (None if v is None else v[0] for v in fits)
@@ -381,7 +376,7 @@ def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _lstsq_gufunc(A, b[..., None], rcond, signature="ddd->ddid")[0][..., 0]
 
 
-def _fit_circles(S: np.ndarray, tol: Tolerance, polygon: bool):
+def _fit_circles(S: np.ndarray, tol: Tolerance):
     """The circle fit of each face of a stack (F, k, d), one row per face:
     whether the worst residual is within ``fit_eps`` times the face
     diameter, center, radius, worst residual and (None in 2D) unit normal.
@@ -390,19 +385,19 @@ def _fit_circles(S: np.ndarray, tol: Tolerance, polygon: bool):
     Kasa seed, Gauss-Newton on the geometric distance up to its own last
     step, 3D faces projected onto their best plane, the center lifted back);
     each least-squares solve is one LAPACK call for the whole stack.
-    The checks are those of ``is_inscribed``, or of ``fit_circle`` unless
-    ``polygon``. Returns (None, fits), or ((i, error), None) if a face
-    fails one, i being the stack position of the first that does.
+    A face fails if it has under 3 vertices, (numerically) zero area, leaves
+    its best plane by more than the threshold, or is collinear. Returns
+    (None, fits), or ((i, error), None) if a face fails, i being the stack
+    position of the first that does.
     """
     F, k, d = S.shape
     if k < 3:
-        return (0, DegeneratePolygon("a polygon needs at least 3 vertices") if polygon
-                else CollinearPoints("need at least 3 points to fit a circle")), None
+        return (0, DegeneratePolygon("a polygon needs at least 3 vertices")), None
     diam = _diameters(S)
     threshold = tol.fit_threshold(diam)
     centroid = S.mean(axis=1)
     Q = S - centroid[:, None]
-    zero = (diam == 0) | (_areas(Q) <= 1e-12 * diam * diam) if polygon else diam == 0
+    zero = (diam == 0) | (_areas(Q) <= 1e-12 * diam * diam)
     normal, offset, xy = None, np.zeros(F), S
     if d == 3:
         Vt = np.linalg.svd(Q, full_matrices=False)[2]
@@ -419,8 +414,7 @@ def _fit_circles(S: np.ndarray, tol: Tolerance, polygon: bool):
     if bad.any():
         i = int(bad.argmax())
         if zero[i]:
-            error = (DegeneratePolygon("polygon has (numerically) zero area") if polygon
-                     else CollinearPoints("all points coincide"))
+            error = DegeneratePolygon("polygon has (numerically) zero area")
         elif offset[i] > threshold[i]:
             error = NonCoplanarPoints(f"points deviate from their best plane by {offset[i]:g} "
                                       f"(limit {float(threshold[i]):g})")

@@ -199,6 +199,9 @@ def parse_graph_json(text: str, tol: Tolerance | None = None,
         raise InputFormatError(f"{source}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise InputFormatError(f"{source}: expected an object with 'vertices' and 'edges'")
+    for field in ("vertices", "edges"):
+        if not isinstance(doc[field], list):
+            raise InputFormatError(f"{source}: '{field}' must be a list")
     points = []
     for i, rec in enumerate(doc["vertices"]):
         if not isinstance(rec, dict) or not {"id", "x", "y"} <= set(rec):

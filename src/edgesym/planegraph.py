@@ -379,40 +379,25 @@ def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGr
     return pieces
 
 
-def _assemble(g: _Regions, h: _Regions, rg, rh, threshold: float) -> Isometry | None:
-    # rg and rh are regions of g and h with the same edges
-    G, H = g.graph, h.graph
-    if len(rg) == 1:
-        labels = g.vertices(rg)
+def _assemble(g: _Regions, H: ConvexPlaneGraph, region, threshold: float) -> Isometry | None:
+    # H carries G's faces, so every region of G is one of H, fitted by G's labels
+    G = g.graph
+    if len(region) == 1:
+        labels = g.vertices(region)
         iso, rmsd = best_fit_isometry(G.vertices.take(labels), H.vertices.take(labels))
         return iso if rmsd <= threshold else None
 
-    boundary = g.boundary(rg)
-    candidates = [fi for fi in rg if g.edges[fi] & boundary]
-    fg = min(candidates, key=lambda fi: g.faces[fi])
-    fg_key = G.map.face_keys()[fg]
-    fh = next((fi for fi in rh if H.map.face_keys()[fi] == fg_key), None)
-    if fh is None:
-        return None
-
-    face = g.faces[fg]
-    rho, rmsd = best_fit_isometry(G.vertices.take(face), H.vertices.take(face))
+    boundary = g.boundary(region)
+    face = min((fi for fi in region if g.edges[fi] & boundary), key=g.faces.__getitem__)
+    rho, rmsd = best_fit_isometry(G.vertices.take(g.faces[face]), H.vertices.take(g.faces[face]))
     if rmsd > threshold:
         return None
 
-    pieces_g = g.split(rg, fg)
-    pieces_h = h.split(rh, fh)
-    by_edges = {edges: region for region, edges in pieces_h}
-    if len(pieces_g) != len(pieces_h):
-        return None
-    for region, edges in pieces_g:
-        region_h = by_edges.get(edges)
-        if region_h is None:
-            return None
-        sub = _assemble(g, h, region, region_h, threshold)
+    for piece, _ in g.split(region, face):
+        sub = _assemble(g, H, piece, threshold)
         if sub is None:
             return None
-        pts = G.vertices.take(g.vertices(region))
+        pts = G.vertices.take(g.vertices(piece))
         gap = np.linalg.norm(rho.apply(pts) - sub.apply(pts), axis=1).max()
         if gap > threshold:
             return None
@@ -425,12 +410,13 @@ def assemble_congruence(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
     graphs by recursive assembly.
 
     With a single bounded face the faces are aligned directly. Otherwise a
-    boundary face is aligned to its partner, the graphs are decomposed
-    along it, each piece is assembled recursively, and every piece's
-    isometry must agree with the face alignment on the piece's vertices.
-    The graphs are validated once, here; the pieces are face regions of G
-    and H, so no level rebuilds a graph. The returned isometry is
-    cross-checked against the direct whole-graph fit.
+    boundary face is aligned to its partner, G is decomposed along it, each
+    piece is assembled recursively, and every piece's isometry must agree
+    with the face alignment on the piece's vertices. The graphs are
+    validated once, here: H has G's vertices, edges and faces, so the face
+    regions of G are regions of H too, and each fit reads both by G's
+    labels. The returned isometry is cross-checked against the direct
+    whole-graph fit.
     """
     if not combinatorially_equivalent(G.map, H.map):
         raise NotCombinatoriallyEquivalent(
@@ -438,8 +424,7 @@ def assemble_congruence(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
         )
     diam = max(G.vertices.diameter, H.vertices.diameter)
     threshold = tol.fit_threshold(diam)
-    rho = _assemble(_Regions(G), _Regions(H), tuple(G.bounded_faces()),
-                    tuple(H.bounded_faces()), threshold)
+    rho = _assemble(_Regions(G), H, tuple(G.bounded_faces()), threshold)
     if rho is None:
         return None
     order = sorted(G.vertices)

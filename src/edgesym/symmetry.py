@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import IndexSetMismatch, PermutationNotASymmetry
-from .geom import DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, _as_points, _row_blocks
+from .geom import (DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, _as_points,
+                   _procrustes, _row_blocks)
 from .maps import CombinatorialMap
 
 __all__ = [
@@ -271,23 +272,10 @@ class _Instance:
         if not fit:
             return edge_ok, offending, None
         A = _as_points(self.points)
-        ca = A.mean(axis=0)
-        centred_t = (A - ca).T
-        linear, translation, rmsd = [], [], []
-        for block in _row_blocks(len(images), A.size):
-            B = A[images[block]]
-            cb = B.mean(axis=1)
-            U, _sing, Vt = np.linalg.svd(centred_t @ (B - cb[:, None]))
-            R = np.swapaxes(Vt, 1, 2) @ np.swapaxes(U, 1, 2)
-            t = cb - R @ ca
-            resid = A @ np.swapaxes(R, 1, 2) + t[:, None] - B
-            linear.append(R)
-            translation.append(t)
-            rmsd.append(np.sqrt((resid * resid).reshape(len(B), A.size).sum(axis=1) / n))
-        rmsd = np.concatenate(rmsd)
-        fits = (np.concatenate(linear), np.concatenate(translation), rmsd,
-                rmsd <= self.tol.fit_threshold(self.diameter))
-        return edge_ok, offending, fits
+        fits = [_procrustes(A, A[images[block]]) for block in _row_blocks(len(images), A.size)]
+        linear, translation, rmsd = map(np.concatenate, zip(*fits))
+        return edge_ok, offending, (linear, translation, rmsd,
+                                    rmsd <= self.tol.fit_threshold(self.diameter))
 
 
 def is_edge_preserving(M: CombinatorialMap, coords, sigma: VertexPermutation,

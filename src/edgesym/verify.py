@@ -89,7 +89,7 @@ def _verdict(M: CombinatorialMap, coords: LabelledPoints, tol: Tolerance,
     for size in np.unique(sizes[sizes > 0]):  # one stack of faces per size
         at = np.flatnonzero(sizes == size)
         rows = M.face_vertices[starts[at, None] + np.arange(size)]
-        bad, fits = _fit_circles(points[rows], tol, polygon=True)
+        bad, fits = _fit_circles(points[rows], tol)
         if bad:
             failed[at[bad[0]]] = bad[1]
         else:

@@ -8,6 +8,7 @@ forms instead of iterative fits. Keep it that way.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 
@@ -18,14 +19,16 @@ from edgesym.errors import (
     Disconnected,
     DimensionMismatch,
     EdgeCrossing,
+    LengthMismatch,
     NonConvexBoundedFace,
     NonCoplanarPoints,
     NonSimpleOuterBoundary,
+    NotCombinatoriallyEquivalent,
 )
-from edgesym.geom import (DEFAULT_TOLERANCE, CircleFit, LabelledPoints, Tolerance, _as_points,
-                          _row_blocks)
-from edgesym.maps import CombinatorialMap
-from edgesym.planegraph import _MIN_TURN, ConvexPlaneGraph, _check_crossings
+from edgesym.geom import (DEFAULT_TOLERANCE, CircleFit, Isometry, LabelledPoints, Tolerance,
+                          UnderdeterminedFitWarning, _as_points, _row_blocks)
+from edgesym.maps import CombinatorialMap, combinatorially_equivalent
+from edgesym.planegraph import _MIN_TURN, ConvexPlaneGraph, _Regions, _check_crossings
 
 
 def oracle_cycle_key(cycle):
@@ -439,14 +442,6 @@ def _fit_circle(P: np.ndarray, diam: float, tol: Tolerance) -> CircleFit:
     return CircleFit(center=center3, radius=r, max_residual=max_res, plane_normal=normal)
 
 
-def per_face_fit_circle(points, tol=DEFAULT_TOLERANCE) -> CircleFit:
-    """``fit_circle`` of one point set, fitted alone."""
-    P = _as_points(points)
-    if len(P) < 3:
-        raise CollinearPoints("need at least 3 points to fit a circle")
-    return _fit_circle(P, _per_face_diameter(P), tol)
-
-
 def per_face_inscribed(polygon, tol=DEFAULT_TOLERANCE) -> tuple[bool, CircleFit]:
     """``is_inscribed`` of one polygon, fitted alone."""
     P = _as_points(polygon)
@@ -769,3 +764,111 @@ def per_face_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> C
 
     cmap = CombinatorialMap(cycles, outer_face=outer)
     return ConvexPlaneGraph(vertices=vertices, edges=tuple(sorted(edge_set)), map=cmap)
+
+
+# ``geom.best_fit_isometry`` as it was before it became a caller of the
+# stacked ``geom._procrustes``, and the two-sided ``planegraph._assemble``
+# with its ``assemble_congruence`` as they were before assembly decomposed
+# G alone, code verbatim, as the references the new code must match bit for
+# bit and outcome for outcome.
+
+
+def per_call_best_fit_isometry(src, dst, allow_reflection: bool = True) -> tuple[Isometry, float]:
+    """Least-squares rigid alignment of matched point sets (Kabsch/Procrustes).
+
+    Minimizes sum |rho(src_i) - dst_i|^2 over rotations, or over all
+    orthogonal maps when ``allow_reflection`` is set. Returns the optimal
+    isometry and the RMS residual.
+    """
+    A = _as_points(src)
+    B = np.asarray(dst, dtype=float)
+    if A.shape != B.shape:
+        raise LengthMismatch(f"src shape {A.shape} does not match dst shape {B.shape}")
+    n, d = A.shape
+    if n == 0:
+        raise LengthMismatch("cannot fit an isometry to empty point sets")
+    if n < d:
+        warnings.warn(
+            f"only {n} point(s) in dimension {d}: alignment is underdetermined",
+            UnderdeterminedFitWarning,
+            stacklevel=2,
+        )
+    ca = A.mean(axis=0)
+    cb = B.mean(axis=0)
+    H = (A - ca).T @ (B - cb)
+    U, _sing, Vt = np.linalg.svd(H)
+    R = Vt.T @ U.T
+    if not allow_reflection and np.linalg.det(R) < 0:
+        flip = np.eye(d)
+        flip[-1, -1] = -1.0
+        R = Vt.T @ flip @ U.T
+    t = cb - R @ ca
+    resid = A @ R.T + t - B
+    rmsd = float(np.sqrt((resid * resid).sum() / n))
+    return Isometry(R, t), rmsd
+
+
+def _two_sided(g: _Regions, h: _Regions, rg, rh, threshold: float) -> Isometry | None:
+    # rg and rh are regions of g and h with the same edges
+    G, H = g.graph, h.graph
+    if len(rg) == 1:
+        labels = g.vertices(rg)
+        iso, rmsd = per_call_best_fit_isometry(G.vertices.take(labels), H.vertices.take(labels))
+        return iso if rmsd <= threshold else None
+
+    boundary = g.boundary(rg)
+    candidates = [fi for fi in rg if g.edges[fi] & boundary]
+    fg = min(candidates, key=lambda fi: g.faces[fi])
+    fg_key = G.map.face_keys()[fg]
+    fh = next((fi for fi in rh if H.map.face_keys()[fi] == fg_key), None)
+    if fh is None:
+        return None
+
+    face = g.faces[fg]
+    rho, rmsd = per_call_best_fit_isometry(G.vertices.take(face), H.vertices.take(face))
+    if rmsd > threshold:
+        return None
+
+    pieces_g = g.split(rg, fg)
+    pieces_h = h.split(rh, fh)
+    by_edges = {edges: region for region, edges in pieces_h}
+    if len(pieces_g) != len(pieces_h):
+        return None
+    for region, edges in pieces_g:
+        region_h = by_edges.get(edges)
+        if region_h is None:
+            return None
+        sub = _two_sided(g, h, region, region_h, threshold)
+        if sub is None:
+            return None
+        pts = G.vertices.take(g.vertices(region))
+        gap = np.linalg.norm(rho.apply(pts) - sub.apply(pts), axis=1).max()
+        if gap > threshold:
+            return None
+    return rho
+
+
+def two_sided_assemble(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
+                       tol: Tolerance = DEFAULT_TOLERANCE) -> Isometry | None:
+    """``assemble_congruence`` decomposing both G and H."""
+    if not combinatorially_equivalent(G.map, H.map):
+        raise NotCombinatoriallyEquivalent(
+            "identity on labels does not extend to a map isomorphism"
+        )
+    diam = max(G.vertices.diameter, H.vertices.diameter)
+    threshold = tol.fit_threshold(diam)
+    rho = _two_sided(_Regions(G), _Regions(H), tuple(G.bounded_faces()),
+                     tuple(H.bounded_faces()), threshold)
+    if rho is None:
+        return None
+    order = sorted(G.vertices)
+    src, dst = G.vertices.take(order), H.vertices.take(order)
+    if np.linalg.norm(rho.apply(src) - dst, axis=1).max() > threshold:
+        return None
+    direct, _ = per_call_best_fit_isometry(src, dst, allow_reflection=True)
+    gap = np.linalg.norm(rho.apply(src) - direct.apply(src), axis=1).max()
+    if gap > threshold:
+        raise AssertionError(
+            f"assembled isometry deviates from the direct fit by {gap:g}"
+        )
+    return rho

@@ -15,7 +15,7 @@ from edgesym.geom import (
     best_fit_isometry,
     circumradius_from_sides,
     diameter_of,
-    fit_circle,
+    is_inscribed,
     reconstruct_inscribed_polygon,
 )
 from edgesym.planegraph import assemble_congruence, build_plane_graph
@@ -176,7 +176,7 @@ def test_criterion_5_inscribed_polygon_round_trip():
         assert rmsd < 1e-8 * diam
         worst_rmsd = max(worst_rmsd, rmsd / diam)
         r_sides = circumradius_from_sides(L)
-        r_fit = fit_circle(poly).radius
+        r_fit = is_inscribed(poly)[1].radius
         assert abs(r_sides - r_fit) <= 1e-9 * r_fit
         worst_rad = max(worst_rad, abs(r_sides - r_fit) / r_fit)
     assert circumradius_from_sides([1, 1, 1]) == pytest.approx(0.57735, abs=1e-5)

@@ -127,6 +127,28 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "non-finite coordinate" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"vertices": 7, "edges": []},
+        {"vertices": [{"id": "a", "x": 0, "y": 0}, {"id": "b", "x": 1, "y": 0},
+                      {"id": "c", "x": 0, "y": 1}], "edges": 5},
+    ], ids=["vertices", "edges"])
+    def test_graph_field_not_a_list_is_input_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a list" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_gallery_parameter_is_input_error(self, capsys, value):
+        code, out, err = run(capsys, "verify", "--gallery", f"twisted_squares:4:2:{value}")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: need finite parameters, got s_out=4.0, s_in=2.0, "
+                       f"alpha_deg={value}\n")
+
     def test_empty_off_face_record_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.off"
         path.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0\n")

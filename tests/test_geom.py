@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesym.errors import (
-    CollinearPoints,
     DegeneratePolygon,
     DimensionMismatch,
     DuplicateLabel,
@@ -24,15 +24,16 @@ from edgesym.geom import (
     best_fit_isometry,
     circumradius_from_sides,
     diameter_of,
-    fit_circle,
     is_inscribed,
     reconstruct_inscribed_polygon,
     _diameters,
     _lstsq,
+    _procrustes,
 )
 from oracles import (
     heron_circumradius,
     one_pass_diameter,
+    per_call_best_fit_isometry,
     random_inscribed_polygon,
     rotation2,
     side_lengths,
@@ -220,6 +221,52 @@ class TestBestFitIsometry:
                 assert rmsd2 >= rmsd - 1e-15
 
 
+def fit_cases(rng, d, n):
+    """Matched point sets (src, dst) in dimension d: a noisy isometric image
+    at coordinate scales 1e-6 to 1e6, a reflected one, and coincident
+    points in either set."""
+    for scale in 10.0 ** np.arange(-6, 7, 3):
+        A = rng.normal(size=(n, d)) * scale
+        Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        noise = rng.normal(size=(n, d)) * scale * 10.0 ** -rng.integers(2, 13)
+        yield A, A @ Q.T + rng.normal(size=d) * scale + noise
+    yield A, A * np.r_[np.ones(d - 1), -1.0]
+    yield np.ones((n, d)), A
+    yield A, np.full((n, d), -2.0)
+
+
+class TestProcrustesKernel:
+    """``best_fit_isometry`` is the one-fit caller of ``_procrustes``; both
+    must give the bits of the per-call fit in ``oracles``, row by row of a
+    stack, with and without reflections."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("allow_reflection", [True, False])
+    def test_bit_identical_to_per_call_fit(self, d, allow_reflection):
+        rng = np.random.default_rng([d, allow_reflection])
+        for n in range(1, 41):
+            cases = list(fit_cases(rng, d, n))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                want = [per_call_best_fit_isometry(A, B, allow_reflection) for A, B in cases]
+                got = [best_fit_isometry(A, B, allow_reflection) for A, B in cases]
+            assert [w.category for w in caught] == [UnderdeterminedFitWarning] * (
+                2 * len(cases) if n < d else 0)
+            for (iso, rmsd), (ref, ref_rmsd) in zip(got, want):
+                assert iso.linear.tobytes() == ref.linear.tobytes()
+                assert iso.translation.tobytes() == ref.translation.tobytes()
+                assert np.float64(rmsd).tobytes() == np.float64(ref_rmsd).tobytes()
+            A, stack = cases[0][0], np.array([B for _, B in cases])
+            linear, translation, rmsd = _procrustes(A, stack, allow_reflection)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UnderdeterminedFitWarning)
+                for i, B in enumerate(stack):
+                    ref, ref_rmsd = per_call_best_fit_isometry(A, B, allow_reflection)
+                    assert linear[i].tobytes() == ref.linear.tobytes()
+                    assert translation[i].tobytes() == ref.translation.tobytes()
+                    assert rmsd[i].tobytes() == np.float64(ref_rmsd).tobytes()
+
+
 class TestApplyIsometry:
     def test_identity(self):
         iso = Isometry.identity(3)
@@ -253,51 +300,6 @@ class TestApplyIsometry:
         with pytest.raises(ValueError) as single:
             Isometry(linear[4], translation[4])
         assert str(stacked.value) == str(single.value)
-
-
-class TestFitCircle:
-    def test_unit_square(self):
-        fit = fit_circle([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert np.allclose(fit.center, [0.5, 0.5], atol=1e-12)
-        assert fit.radius == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-        assert fit.max_residual < 1e-12
-
-    def test_triangle_exact_circumcircle(self):
-        # right triangle (0,0) (4,0) (0,3): circumcenter (2, 1.5), radius 2.5
-        fit = fit_circle([(0, 0), (4, 0), (0, 3)])
-        assert np.allclose(fit.center, [2.0, 1.5], atol=1e-10)
-        assert fit.radius == pytest.approx(2.5, abs=1e-10)
-        assert fit.max_residual < 1e-12
-
-    def test_rhombus_residual(self):
-        # opposite angles pi/3 + pi/3 != pi, so the rhombus is not concyclic
-        fit = fit_circle(RHOMBUS_PI3)
-        assert fit.max_residual > 0.05
-        assert fit.max_residual == pytest.approx(0.1830127, abs=1e-6)
-
-    def test_collinear_raises(self):
-        with pytest.raises(CollinearPoints):
-            fit_circle([(0, 0), (1, 0), (2, 0), (3, 0)])
-
-    def test_3d_coplanar_circle(self):
-        square = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], float)
-        axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
-        K = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
-        theta = 0.6
-        R = np.eye(3) + math.sin(theta) * K + (1 - math.cos(theta)) * (K @ K)
-        t = np.array([3.0, -1.0, 2.0])
-        pts = square @ R.T + t
-        fit = fit_circle(pts)
-        assert fit.max_residual < 1e-12
-        assert fit.radius == pytest.approx(math.sqrt(2) / 2, abs=1e-10)
-        assert np.allclose(fit.center, R @ np.array([0.5, 0.5, 0.0]) + t, atol=1e-10)
-        assert np.linalg.norm(fit.plane_normal) == pytest.approx(1.0, abs=1e-12)
-        assert abs(float(fit.plane_normal @ (R @ np.array([0, 0, 1.0])))) == pytest.approx(1.0, abs=1e-10)
-
-    def test_non_coplanar_raises(self):
-        pts = [(0, 0, 0), (1, 0, 0), (1, 1, 0.3), (0, 1, 0)]
-        with pytest.raises(NonCoplanarPoints):
-            fit_circle(pts)
 
 
 def lstsq_stack(rng, k, scale):
@@ -376,14 +378,49 @@ class TestIsInscribed:
     def test_unit_square(self):
         ok, fit = is_inscribed(np.array([(0, 0), (1, 0), (1, 1), (0, 1)], float))
         assert ok
+        assert np.allclose(fit.center, [0.5, 0.5], atol=1e-12)
+        assert fit.radius == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+        assert fit.max_residual < 1e-12
+
+    def test_triangle_exact_circumcircle(self):
+        # right triangle (0,0) (4,0) (0,3): circumcenter (2, 1.5), radius 2.5
+        ok, fit = is_inscribed([(0, 0), (4, 0), (0, 3)])
+        assert ok
+        assert np.allclose(fit.center, [2.0, 1.5], atol=1e-10)
+        assert fit.radius == pytest.approx(2.5, abs=1e-10)
+        assert fit.max_residual < 1e-12
 
     def test_rhombus_not_inscribed(self):
-        ok, _ = is_inscribed(RHOMBUS_PI3)
+        # opposite angles pi/3 + pi/3 != pi, so the rhombus is not concyclic
+        ok, fit = is_inscribed(RHOMBUS_PI3)
         assert not ok
+        assert fit.max_residual == pytest.approx(0.1830127, abs=1e-6)
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegeneratePolygon):
-            is_inscribed(np.array([(0, 0), (1, 0), (2, 0)], float))
+        for n in (3, 4):  # collinear points
+            with pytest.raises(DegeneratePolygon, match="zero area"):
+                is_inscribed(np.array([(i, 0) for i in range(n)], float))
+
+    def test_3d_coplanar_circle(self):
+        square = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], float)
+        axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
+        K = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+        theta = 0.6
+        R = np.eye(3) + math.sin(theta) * K + (1 - math.cos(theta)) * (K @ K)
+        t = np.array([3.0, -1.0, 2.0])
+        pts = square @ R.T + t
+        ok, fit = is_inscribed(pts)
+        assert ok
+        assert fit.max_residual < 1e-12
+        assert fit.radius == pytest.approx(math.sqrt(2) / 2, abs=1e-10)
+        assert np.allclose(fit.center, R @ np.array([0.5, 0.5, 0.0]) + t, atol=1e-10)
+        assert np.linalg.norm(fit.plane_normal) == pytest.approx(1.0, abs=1e-12)
+        assert abs(float(fit.plane_normal @ (R @ np.array([0, 0, 1.0])))) == pytest.approx(1.0, abs=1e-10)
+
+    def test_non_coplanar_raises(self):
+        pts = [(0, 0, 0), (1, 0, 0), (1, 1, 0.3), (0, 1, 0)]
+        with pytest.raises(NonCoplanarPoints):
+            is_inscribed(pts)
 
 
 class TestCircumradius:

@@ -19,7 +19,6 @@ from edgesym.geom import (
     DEFAULT_TOLERANCE,
     CircleFit,
     LabelledPoints,
-    fit_circle,
     is_inscribed,
     polygon_area,
 )
@@ -33,7 +32,6 @@ from edgesym.verify import (
 
 from oracles import (
     per_face_area,
-    per_face_fit_circle,
     per_face_inscribed,
     random_inscribed_polygon,
 )
@@ -133,9 +131,9 @@ def noisy_polygons(seed, dim):
     return out
 
 
-def stacked_fits(polygons, polygon):
+def stacked_fits(polygons):
     """(verdict, CircleFit) of each polygon, all fitted in one stack."""
-    failed, fits = geom._fit_circles(np.array(polygons), DEFAULT_TOLERANCE, polygon)
+    failed, fits = geom._fit_circles(np.array(polygons), DEFAULT_TOLERANCE)
     assert failed is None
     ok, center, radius, max_res, normal = fits
     return [(bool(ok[i]), CircleFit(center[i], radius[i], max_res[i],
@@ -150,14 +148,11 @@ def test_noisy_stacks_match_per_face_fits(seed, dim):
     for P in noisy_polygons(seed, dim):
         by_size.setdefault(len(P), []).append(P)
     for polygons in by_size.values():
-        fits = stacked_fits(polygons, polygon=True)
-        circles = stacked_fits(polygons, polygon=False)
-        for P, (ok, fit), (_, circle) in zip(polygons, fits, circles):
+        for P, (ok, fit) in zip(polygons, stacked_fits(polygons)):
             want_ok, want = per_face_inscribed(P)
             assert ok == want_ok
             assert_same_fit(fit, want)
-            assert_same_fit(circle, per_face_fit_circle(P))
-            assert_same_fit(fit_circle(P), want)
+            assert_same_fit(is_inscribed(P)[1], want)
 
 
 def inscribed_face(rng, k, dim=3):
@@ -216,7 +211,6 @@ def test_first_failing_face_raises_as_per_face(kind, dim, where):
     assert (str(info.value), vars(info.value)) == want[1:]
     for P in polygons:
         assert_same_outcome(is_inscribed, per_face_inscribed, P)
-        assert_same_outcome(fit_circle, per_face_fit_circle, P)
 
 
 def peak_mib(fn, *args) -> float:

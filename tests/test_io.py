@@ -111,6 +111,15 @@ class TestGraphJson:
         with pytest.raises(InputFormatError):
             parse_graph_json('{"vertices": [{"id": "1"}], "edges": []}')
 
+    @pytest.mark.parametrize("doc, field", [
+        ('{"vertices": 7, "edges": []}', "vertices"),
+        (SQUARE_JSON.replace('"edges":[["1","2"],["2","3"],["3","4"],["4","1"]]', '"edges":5'),
+         "edges"),
+    ])
+    def test_field_not_a_list(self, doc, field):
+        with pytest.raises(InputFormatError, match=f"'{field}' must be a list"):
+            parse_graph_json(doc)
+
     def test_invalid_json(self):
         with pytest.raises(InputFormatError, match="invalid JSON"):
             parse_graph_json("{nope")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from edgesym import gallery, geom, io, polytope
+from edgesym import gallery, geom, io, polytope, twisted_squares
 from edgesym.errors import InvalidGalleryParameter, UnknownGalleryName
 from edgesym.geom import DEFAULT_TOLERANCE, best_fit_isometry
 from edgesym.verify import (
@@ -184,6 +184,13 @@ class TestTwistedSquares:
     def test_invalid_sizes(self):
         with pytest.raises(InvalidGalleryParameter):
             twisted_squares_check(2, 4, 5)
+
+    @pytest.mark.parametrize("args", [(4, 2, math.inf), (4, 2, math.nan), (math.inf, 2, 10),
+                                      (4, -math.inf, 10), (4, math.nan, 10)])
+    def test_non_finite_parameter(self, args):
+        with pytest.raises(InvalidGalleryParameter, match="need finite parameters") as info:
+            twisted_squares(*args)
+        assert info.value.__cause__ is None
 
 
 class TestGalleryLookup:

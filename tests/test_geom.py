@@ -365,6 +365,27 @@ class TestStackedLstsq:
             assert got == want == (np.linalg.LinAlgError, want[1])
 
 
+class TestFitCircle:
+    """The best-fit circle that ``is_inscribed`` returns with its verdict."""
+
+    def test_unit_square(self):
+        _, fit = is_inscribed([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert np.allclose(fit.center, [0.5, 0.5], atol=1e-12)
+        assert fit.radius == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+        assert fit.max_residual < 1e-12
+
+    def test_rhombus_residual(self):
+        # opposite angles pi/3 + pi/3 != pi, so the rhombus is not concyclic
+        _, fit = is_inscribed(RHOMBUS_PI3)
+        assert fit.max_residual > 0.05
+        assert fit.max_residual == pytest.approx(0.1830127, abs=1e-6)
+
+    def test_collinear_raises(self):
+        # collinear points span zero area: no finite circle fits them
+        with pytest.raises(DegeneratePolygon, match="zero area"):
+            is_inscribed([(0, 0), (1, 0), (2, 0), (3, 0)])
+
+
 class TestIsInscribed:
     def test_any_triangle(self, rng):
         for _ in range(10):
@@ -378,9 +399,6 @@ class TestIsInscribed:
     def test_unit_square(self):
         ok, fit = is_inscribed(np.array([(0, 0), (1, 0), (1, 1), (0, 1)], float))
         assert ok
-        assert np.allclose(fit.center, [0.5, 0.5], atol=1e-12)
-        assert fit.radius == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-        assert fit.max_residual < 1e-12
 
     def test_triangle_exact_circumcircle(self):
         # right triangle (0,0) (4,0) (0,3): circumcenter (2, 1.5), radius 2.5
@@ -391,15 +409,12 @@ class TestIsInscribed:
         assert fit.max_residual < 1e-12
 
     def test_rhombus_not_inscribed(self):
-        # opposite angles pi/3 + pi/3 != pi, so the rhombus is not concyclic
-        ok, fit = is_inscribed(RHOMBUS_PI3)
+        ok, _ = is_inscribed(RHOMBUS_PI3)
         assert not ok
-        assert fit.max_residual == pytest.approx(0.1830127, abs=1e-6)
 
     def test_degenerate_raises(self):
-        for n in (3, 4):  # collinear points
-            with pytest.raises(DegeneratePolygon, match="zero area"):
-                is_inscribed(np.array([(i, 0) for i in range(n)], float))
+        with pytest.raises(DegeneratePolygon):
+            is_inscribed(np.array([(0, 0), (1, 0), (2, 0)], float))
 
     def test_3d_coplanar_circle(self):
         square = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], float)

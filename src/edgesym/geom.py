@@ -105,6 +105,8 @@ def _as_points(points, dims=(2, 3)) -> np.ndarray:
         raise DimensionMismatch(
             f"expected an (n, d) point array with d in {dims}, got shape {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise NonFiniteCoordinate("point array has a non-finite coordinate")
     return arr
 
 
@@ -281,6 +283,7 @@ def best_fit_isometry(src, dst, allow_reflection: bool = True) -> tuple[Isometry
     B = np.asarray(dst, dtype=float)
     if A.shape != B.shape:
         raise LengthMismatch(f"src shape {A.shape} does not match dst shape {B.shape}")
+    _as_points(B)  # finite
     n, d = A.shape
     if n == 0:
         raise LengthMismatch("cannot fit an isometry to empty point sets")
@@ -295,20 +298,21 @@ def best_fit_isometry(src, dst, allow_reflection: bool = True) -> tuple[Isometry
 
 
 def _procrustes(A: np.ndarray, B: np.ndarray, allow_reflection: bool = True):
-    """Kabsch fit of the points A (n, d) onto each point set of the stack
-    B (F, n, d): linear parts (F, d, d), translations (F, d) and RMS
-    residuals (F,). Without ``allow_reflection``, a fit whose linear part
-    is a reflection is redone with the last singular direction flipped."""
-    n, d = A.shape
-    ca = A.mean(axis=0)
+    """Kabsch fit of the points A (n, d), or of each set of a stack A
+    (F, n, d), onto each point set of the stack B (F, n, d): linear parts
+    (F, d, d), translations (F, d) and RMS residuals (F,), each row the
+    bits of its fit alone. Without ``allow_reflection``, a reflection is
+    refitted with the last singular direction flipped."""
+    n, d = A.shape[-2:]
+    ca = A.mean(axis=-2)
     cb = B.mean(axis=1)
-    U, _sing, Vt = np.linalg.svd((A - ca).T @ (B - cb[:, None]))
+    U, _sing, Vt = np.linalg.svd(np.swapaxes(A - ca[..., None, :], -1, -2) @ (B - cb[:, None]))
     R = np.swapaxes(Vt, 1, 2) @ np.swapaxes(U, 1, 2)
     if not allow_reflection:
         flip = np.linalg.det(R) < 0
         R[flip] = (np.swapaxes(Vt[flip], 1, 2) @ np.diag([1.0] * (d - 1) + [-1.0])
                    @ np.swapaxes(U[flip], 1, 2))
-    t = cb - R @ ca
+    t = cb - (R @ ca[..., None])[..., 0]
     resid = A @ np.swapaxes(R, 1, 2) + t[:, None] - B
     return R, t, np.sqrt((resid * resid).reshape(len(B), n * d).sum(axis=1) / n)
 

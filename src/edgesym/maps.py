@@ -234,6 +234,20 @@ class CombinatorialMap:
         )
 
 
+def _face_rows(M: CombinatorialMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The faces as unoriented cycles of vertex indices (`cycle_key`), in
+    sorted order: the rows concatenated, their sizes, and the row of the
+    outer face (empty for a polytope)."""
+    sizes, fv = M.face_sizes, M.face_vertices
+    starts = np.cumsum(sizes) - sizes
+    first, size = np.repeat(starts, sizes), np.repeat(sizes, sizes)
+    at = np.arange(len(fv)) - first  # read backwards if the last vertex is the smaller
+    rows = fv[first + np.where(fv[first + 1] > fv[first + size - 1], (size - at) % size, at)]
+    order = _row_order(rows, starts, sizes)
+    outer = rows[:0] if M.outer_face is None else rows[starts[M.outer_face]:][:sizes[M.outer_face]]
+    return rows[_ranges(starts[order], sizes[order])], sizes[order], outer
+
+
 def combinatorially_equivalent(a: CombinatorialMap, b: CombinatorialMap) -> bool:
     """Whether the identity on vertex labels extends to a map isomorphism.
 
@@ -241,12 +255,11 @@ def combinatorially_equivalent(a: CombinatorialMap, b: CombinatorialMap) -> bool
     faces. The flag involutions carry no orientation, so the identity
     extends exactly when both maps have the same vertices and edges and
     the same faces read as unoriented cycles (`cycle_key`), and, for plane
-    graphs, outer faces with the same key.
+    graphs, outer faces with the same key; with equal vertices, these
+    compare as arrays of vertex indices.
     """
     if a.is_graph != b.is_graph:
         raise ValueError("cannot compare a polytope map with a plane-graph map")
-    if a.vertices != b.vertices or a.edges != b.edges:
+    if a.vertices != b.vertices or not np.array_equal(a.edge_ends, b.edge_ends):
         return False
-    if sorted(a.face_keys()) != sorted(b.face_keys()):
-        return False
-    return not a.is_graph or a.face_keys()[a.outer_face] == b.face_keys()[b.outer_face]
+    return all(map(np.array_equal, _face_rows(a), _face_rows(b)))

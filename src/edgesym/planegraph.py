@@ -6,15 +6,16 @@ never supplied: the darts (directed edges) are numbered counterclockwise
 around each vertex, and the faces are the orbits of the dart permutation
 (a, b) -> (b, the predecessor of a around b). Also implements the
 boundary decomposition of such a graph along a face touching the outer
-boundary, and the recursive assembly deciding whether two combinatorially
-equivalent graphs with congruent faces are congruent as a whole.
+boundary, and the assembly along a tree of such decompositions deciding
+whether two combinatorially equivalent graphs with congruent faces are
+congruent as a whole.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -28,9 +29,9 @@ from .errors import (
     NonSimpleOuterBoundary,
     NotCombinatoriallyEquivalent,
 )
-from .geom import DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, best_fit_isometry
-from .maps import (CombinatorialMap, Edge, _ranges, _walk_cycles, combinatorially_equivalent,
-                   edge_key)
+from .geom import (DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, _procrustes,
+                   best_fit_isometry)
+from .maps import CombinatorialMap, _ranges, _walk_cycles, combinatorially_equivalent, edge_key
 
 __all__ = [
     "ConvexPlaneGraph",
@@ -287,61 +288,29 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
     return ConvexPlaneGraph(vertices=vertices, edges=tuple(edge_list), map=cmap)
 
 
-class _Regions:
-    """The faces of a validated convex plane graph with the edge set of
-    each, computed once. A region is a sorted tuple of bounded-face indices
-    of this graph; the whole graph is the region of all bounded faces, and
-    splitting along a boundary face yields regions again, each a disk
-    bounded by a simple cycle."""
+def _neighbours(M: CombinatorialMap) -> list[list[int]]:
+    """For each face of M, the faces across its edges in cycle order."""
+    across, ends = M.flag_face[M.s2[0::2]].tolist(), np.cumsum(M.face_sizes).tolist()
+    return [across[e - n:e] for e, n in zip(ends, M.face_sizes.tolist())]
 
-    def __init__(self, G: ConvexPlaneGraph):
-        self.graph = G
-        self.faces = G.map.faces
-        self.edges = [frozenset(G.map.face_edges(fi)) for fi in range(len(self.faces))]
 
-    def boundary(self, region) -> set[Edge]:
-        """Edges lying in exactly one face of the region."""
-        counts = Counter(e for fi in region for e in self.edges[fi])
-        return {e for e, c in counts.items() if c == 1}
-
-    def vertices(self, region) -> list[str]:
-        return sorted({v for fi in region for v in self.faces[fi]})
-
-    def split(self, region, face: int) -> list[tuple[tuple[int, ...], frozenset[Edge]]]:
-        """Regions and edge sets of the pieces left when `face` and its
-        boundary edges are cut from `region`, ordered by smallest face cycle."""
-        faces, edges = self.faces, self.edges
-        if not edges[face] & self.boundary(region):
-            raise FaceNotOnBoundary(f"face {faces[face]} shares no edge with the outer boundary")
-        edge_faces: dict[Edge, list[int]] = {}
-        for fi in region:
-            for e in edges[fi]:
-                edge_faces.setdefault(e, []).append(fi)
-        reached = {face}
-        components = []
-        for start in region:
-            if start in reached:
-                continue
-            reached.add(start)
-            component = [start]
-            for cur in component:  # grows while it is walked
-                for e in edges[cur]:
-                    for nb in edge_faces[e]:
-                        if nb not in reached:
-                            reached.add(nb)
-                            component.append(nb)
-            components.append(component)
-
-        pieces = []
-        for fis in sorted(components, key=lambda fs: min(faces[f] for f in fs)):
-            edge_union = frozenset().union(*(edges[fi] for fi in fis))
-            if not edge_union & edges[face]:
-                raise DecompositionError(
-                    f"decomposition piece {sorted(fis)} shares no edge with face "
-                    f"{faces[face]}; such graphs are outside the supported class"
-                )
-            pieces.append((tuple(sorted(fis)), edge_union))
-        return pieces  # no edge in two pieces: its two faces would be one component
+def _absorb(neighbours: list[list[int]], order: list[int]) -> list[int]:
+    """Add the faces of ``order`` one by one, each merging the components
+    of its neighbours added before it into one, which it heads. Returns for
+    each face the face whose addition merged the component it headed, or
+    -1: a forest, each face below faces added later."""
+    n = len(neighbours)
+    link, up, added = list(range(n)), [-1] * n, [False] * n
+    for p in order:
+        for y in neighbours[p]:
+            if added[y]:
+                while link[y] != y:  # to the latest face of y's component
+                    link[y] = link[link[y]]
+                    y = link[y]
+                if y != p:
+                    link[y] = up[y] = p
+        added[p] = True
+    return up
 
 
 def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGraph]:
@@ -349,73 +318,65 @@ def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGr
 
     Deletes the edges the face shares with the outer face and returns the
     pieces given by the connected components of the dual graph without the
-    chosen face and the outer face. Pieces may share vertices but never
-    edges, and each must share an edge with the removed face. The pieces
-    are derived from the validated G, not rebuilt and validated again:
-    each keeps G's points in sorted label order, and its map holds its
-    faces of G plus the outer walk around them.
+    chosen face and the outer face, ordered by smallest face. Pieces may
+    share vertices but never edges, and each must share an edge with the
+    removed face. The pieces are derived from the validated G, not rebuilt
+    and validated again: each keeps G's points in sorted label order, and
+    its map holds its faces of G plus the outer walk around them.
     """
     M = G.map
     if M.outer_face is None or not 0 <= face < len(M.faces) or face == M.outer_face:
         raise ValueError(f"face {face} is not a bounded face of the graph")
-    regions = _Regions(G)
+    neighbours = _neighbours(M)
+    if M.outer_face not in neighbours[face]:
+        raise FaceNotOnBoundary(f"face {M.faces[face]} shares no edge with the outer boundary")
+    rest = [fi for fi in range(len(neighbours)) if fi not in (face, M.outer_face)]
+    up, head, members = _absorb(neighbours, rest + [face]), {}, {}
+    for fi in reversed(rest):  # the latest face of each component, then its faces
+        head[fi] = fi if up[fi] in (face, -1) else head[up[fi]]
+        members.setdefault(head[fi], []).append(fi)
+    found = sorted((sorted(fis), h) for h, fis in members.items())
+    for fis, h in found:
+        if up[h] != face:
+            raise DecompositionError(
+                f"decomposition piece {fis} shares no edge with face "
+                f"{M.faces[face]}; such graphs are outside the supported class"
+            )
+
+    sizes, fv, across = M.face_sizes, M.face_vertices, M.flag_face[M.s2[0::2]]
+    starts, step = np.cumsum(sizes) - sizes, M.s1[1::2] // 2  # the next position in the face
     pieces = []
-    for region, edges in regions.split(G.bounded_faces(), face):
-        cycles = [M.faces[fi] for fi in region]
-        boundary = regions.boundary(region)
+    for fis, _ in found:
+        at = _ranges(starts[fis], sizes[fis])
         # bounded faces run counterclockwise, so the clockwise outer walk
         # reads each boundary edge backwards
-        index, names = G.vertices.index, G.vertices.labels
-        ends = np.array([(index[b], index[a]) for cyc in cycles
-                         for a, b in zip(cyc, cyc[1:] + cyc[:1]) if edge_key(a, b) in boundary])
-        walk = _walk_cycles(np.zeros(len(ends), dtype=np.intp), ends[:, 0], ends[:, 1], 1)[0]
-        labels = regions.vertices(region)
-        pieces.append(ConvexPlaneGraph(
-            vertices=LabelledPoints(zip(labels, G.vertices.take(labels))),
-            edges=tuple(sorted(edges)),
-            map=CombinatorialMap(cycles + [[names[i] for i in walk.tolist()]],
-                                 outer_face=len(cycles)),
-        ))
+        rim = at[~np.isin(across[at], fis)]
+        walk = _walk_cycles(np.zeros(len(rim), dtype=np.intp), fv[step[rim]], fv[rim], 1)[0]
+        cmap = CombinatorialMap._from_cycles(M.vertices, np.concatenate([fv[at], walk]),
+                                             np.append(sizes[fis], len(walk)), len(fis))
+        points = LabelledPoints(zip(cmap.vertices, G.vertices.take(cmap.vertices)))
+        pieces.append(ConvexPlaneGraph(vertices=points, edges=cmap.edges, map=cmap))
     return pieces
-
-
-def _assemble(g: _Regions, H: ConvexPlaneGraph, region, threshold: float) -> Isometry | None:
-    # H carries G's faces, so every region of G is one of H, fitted by G's labels
-    G = g.graph
-    if len(region) == 1:
-        labels = g.vertices(region)
-        iso, rmsd = best_fit_isometry(G.vertices.take(labels), H.vertices.take(labels))
-        return iso if rmsd <= threshold else None
-
-    boundary = g.boundary(region)
-    face = min((fi for fi in region if g.edges[fi] & boundary), key=g.faces.__getitem__)
-    rho, rmsd = best_fit_isometry(G.vertices.take(g.faces[face]), H.vertices.take(g.faces[face]))
-    if rmsd > threshold:
-        return None
-
-    for piece, _ in g.split(region, face):
-        sub = _assemble(g, H, piece, threshold)
-        if sub is None:
-            return None
-        pts = G.vertices.take(g.vertices(piece))
-        gap = np.linalg.norm(rho.apply(pts) - sub.apply(pts), axis=1).max()
-        if gap > threshold:
-            return None
-    return rho
 
 
 def assemble_congruence(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
                         tol: Tolerance = DEFAULT_TOLERANCE) -> Isometry | None:
     """Decide congruence of two combinatorially equivalent convex plane
-    graphs by recursive assembly.
+    graphs by assembly along a decomposition tree of G's faces.
 
-    With a single bounded face the faces are aligned directly. Otherwise a
-    boundary face is aligned to its partner, G is decomposed along it, each
-    piece is assembled recursively, and every piece's isometry must agree
-    with the face alignment on the piece's vertices. The graphs are
-    validated once, here: H has G's vertices, edges and faces, so the face
-    regions of G are regions of H too, and each fit reads both by G's
-    labels. The returned isometry is cross-checked against the direct
+    A region, at first all bounded faces, takes out its smallest face next
+    to the outer face or to a face taken out, and its children are the
+    components of the rest. Faces of two regions share no edge, so the
+    tree is built once, on face indices: faces are taken out in one order,
+    smallest boundary face first, and joined back in reverse (`_absorb`).
+    Each face is aligned to its partner in H, a leaf by its vertices in
+    sorted label order and any other face in cycle order, and must agree
+    with its parent's alignment on the vertices of its subtree. A bound
+    over the subtree's bounding box screens that gap, and the exact gap is
+    taken only where the bound does not settle it. The graphs are
+    validated once, here: H has G's vertices, edges and faces, so each fit
+    reads both by G's labels. The root's isometry is returned if every fit
+    and gap is within the threshold, cross-checked against the direct
     whole-graph fit.
     """
     if not combinatorially_equivalent(G.map, H.map):
@@ -424,11 +385,60 @@ def assemble_congruence(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
         )
     diam = max(G.vertices.diameter, H.vertices.diameter)
     threshold = tol.fit_threshold(diam)
-    rho = _assemble(_Regions(G), H, tuple(G.bounded_faces()), threshold)
-    if rho is None:
-        return None
-    order = sorted(G.vertices)
-    src, dst = G.vertices.take(order), H.vertices.take(order)
+    M, neighbours = G.map, _neighbours(G.map)
+    rim, heap, order = [fi == M.outer_face for fi in range(len(neighbours))], [M.outer_face], []
+    while heap:
+        order.append(heappop(heap))
+        for y in neighbours[order[-1]]:
+            if not rim[y]:
+                rim[y] = True
+                heappush(heap, y)
+    del order[0]  # the outer face
+    up, kids = _absorb(neighbours, order[::-1]), [[] for _ in neighbours]
+    for fi in order[1:]:
+        kids[up[fi]].append(fi)
+
+    # one fit per stack of faces of one size, negated for the leaves, which
+    # fit in sorted label order; H is read by the vertex indices of G's map
+    src, dst = G.vertices.take(M.vertices), H.vertices.take(M.vertices)
+    sizes, fv = M.face_sizes, M.face_vertices
+    starts = np.cumsum(sizes) - sizes
+    group = np.where([bool(ks) for ks in kids], sizes, -sizes)
+    group[M.outer_face] = 0
+    linear, shift = np.empty((len(sizes), 2, 2)), np.empty((len(sizes), 2))
+    for g in np.unique(group[order]).tolist():
+        nodes = np.flatnonzero(group == g)
+        idx = fv[starts[nodes, None] + np.arange(abs(g))]
+        idx = np.sort(idx, axis=1) if g < 0 else idx
+        linear[nodes], shift[nodes], rmsd = _procrustes(src[idx], dst[idx])
+        if (rmsd > threshold).any():
+            return None
+
+    # Over a box of centre m and half diagonal h, a face's isometry and its
+    # parent's differ by at most |D m + e| + |D| h, where D and e are the
+    # differences of their linear parts and translations
+    box = np.hstack([np.minimum.reduceat(src[fv], starts),
+                     -np.maximum.reduceat(src[fv], starts)]).tolist()
+    for k in order[:0:-1]:  # children first
+        box[up[k]] = list(map(min, box[up[k]], box[k]))
+    lo, hi = np.array(box)[:, :2], -np.array(box)[:, 2:]
+    kid = np.array(order[1:], dtype=np.intp)
+    parent = np.array(up)[kid]
+    D, e = linear[parent] - linear[kid], shift[parent] - shift[kid]
+    bound = (np.linalg.norm((D @ ((lo + hi)[kid, :, None] / 2))[..., 0] + e, axis=1)
+             + np.linalg.norm(D, axis=(1, 2)) * np.linalg.norm(hi - lo, axis=1)[kid] / 2)
+    slack = 1e-12 * (np.abs(src).max() + np.abs(shift[order]).max())  # >> rounding error
+    for k in kid[bound + slack > threshold].tolist():
+        below = [k]
+        for fi in below:  # grows while it is walked
+            below += kids[fi]
+        p, pts = up[k], src[np.unique(fv[_ranges(starts[below], sizes[below])])]
+        gap = np.linalg.norm((pts @ linear[p].T + shift[p]) - (pts @ linear[k].T + shift[k]),
+                             axis=1).max()
+        if gap > threshold:
+            return None
+
+    rho = Isometry(linear[order[0]], shift[order[0]])
     if np.linalg.norm(rho.apply(src) - dst, axis=1).max() > threshold:
         return None
     direct, _ = best_fit_isometry(src, dst, allow_reflection=True)

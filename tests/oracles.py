@@ -9,16 +9,19 @@ forms instead of iterative fits. Keep it that way.
 import itertools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 
 from edgesym.errors import (
     CollinearPoints,
+    DecompositionError,
     DegenerateFaceMerge,
     DegeneratePolygon,
     Disconnected,
     DimensionMismatch,
     EdgeCrossing,
+    FaceNotOnBoundary,
     LengthMismatch,
     NonConvexBoundedFace,
     NonCoplanarPoints,
@@ -26,9 +29,9 @@ from edgesym.errors import (
     NotCombinatoriallyEquivalent,
 )
 from edgesym.geom import (DEFAULT_TOLERANCE, CircleFit, Isometry, LabelledPoints, Tolerance,
-                          UnderdeterminedFitWarning, _as_points, _row_blocks)
-from edgesym.maps import CombinatorialMap, combinatorially_equivalent
-from edgesym.planegraph import _MIN_TURN, ConvexPlaneGraph, _Regions, _check_crossings
+                          UnderdeterminedFitWarning, _as_points, _row_blocks, best_fit_isometry)
+from edgesym.maps import CombinatorialMap, Edge, combinatorially_equivalent
+from edgesym.planegraph import _MIN_TURN, ConvexPlaneGraph, _check_crossings
 
 
 def oracle_cycle_key(cycle):
@@ -766,6 +769,120 @@ def per_face_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> C
     return ConvexPlaneGraph(vertices=vertices, edges=tuple(sorted(edge_set)), map=cmap)
 
 
+# ``planegraph._Regions`` and the recursive ``planegraph._assemble``, with
+# the ``assemble_congruence`` around it, as they were before assembly ran
+# on one tree of face indices, code verbatim: the region split that
+# ``boundary_decomposition`` must match and the assembly that
+# ``assemble_congruence`` must match outcome for outcome.
+
+
+class _Regions:
+    """The faces of a validated convex plane graph with the edge set of
+    each, computed once. A region is a sorted tuple of bounded-face indices
+    of this graph; the whole graph is the region of all bounded faces, and
+    splitting along a boundary face yields regions again, each a disk
+    bounded by a simple cycle."""
+
+    def __init__(self, G: ConvexPlaneGraph):
+        self.graph = G
+        self.faces = G.map.faces
+        self.edges = [frozenset(G.map.face_edges(fi)) for fi in range(len(self.faces))]
+
+    def boundary(self, region) -> set[Edge]:
+        """Edges lying in exactly one face of the region."""
+        counts = Counter(e for fi in region for e in self.edges[fi])
+        return {e for e, c in counts.items() if c == 1}
+
+    def vertices(self, region) -> list[str]:
+        return sorted({v for fi in region for v in self.faces[fi]})
+
+    def split(self, region, face: int) -> list[tuple[tuple[int, ...], frozenset[Edge]]]:
+        """Regions and edge sets of the pieces left when `face` and its
+        boundary edges are cut from `region`, ordered by smallest face cycle."""
+        faces, edges = self.faces, self.edges
+        if not edges[face] & self.boundary(region):
+            raise FaceNotOnBoundary(f"face {faces[face]} shares no edge with the outer boundary")
+        edge_faces: dict[Edge, list[int]] = {}
+        for fi in region:
+            for e in edges[fi]:
+                edge_faces.setdefault(e, []).append(fi)
+        reached = {face}
+        components = []
+        for start in region:
+            if start in reached:
+                continue
+            reached.add(start)
+            component = [start]
+            for cur in component:  # grows while it is walked
+                for e in edges[cur]:
+                    for nb in edge_faces[e]:
+                        if nb not in reached:
+                            reached.add(nb)
+                            component.append(nb)
+            components.append(component)
+
+        pieces = []
+        for fis in sorted(components, key=lambda fs: min(faces[f] for f in fs)):
+            edge_union = frozenset().union(*(edges[fi] for fi in fis))
+            if not edge_union & edges[face]:
+                raise DecompositionError(
+                    f"decomposition piece {sorted(fis)} shares no edge with face "
+                    f"{faces[face]}; such graphs are outside the supported class"
+                )
+            pieces.append((tuple(sorted(fis)), edge_union))
+        return pieces  # no edge in two pieces: its two faces would be one component
+
+
+def _assemble(g: _Regions, H: ConvexPlaneGraph, region, threshold: float) -> Isometry | None:
+    # H carries G's faces, so every region of G is one of H, fitted by G's labels
+    G = g.graph
+    if len(region) == 1:
+        labels = g.vertices(region)
+        iso, rmsd = best_fit_isometry(G.vertices.take(labels), H.vertices.take(labels))
+        return iso if rmsd <= threshold else None
+
+    boundary = g.boundary(region)
+    face = min((fi for fi in region if g.edges[fi] & boundary), key=g.faces.__getitem__)
+    rho, rmsd = best_fit_isometry(G.vertices.take(g.faces[face]), H.vertices.take(g.faces[face]))
+    if rmsd > threshold:
+        return None
+
+    for piece, _ in g.split(region, face):
+        sub = _assemble(g, H, piece, threshold)
+        if sub is None:
+            return None
+        pts = G.vertices.take(g.vertices(piece))
+        gap = np.linalg.norm(rho.apply(pts) - sub.apply(pts), axis=1).max()
+        if gap > threshold:
+            return None
+    return rho
+
+
+def recursive_assemble(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
+                       tol: Tolerance = DEFAULT_TOLERANCE) -> Isometry | None:
+    """``assemble_congruence`` by recursion over re-scanned regions."""
+    if not combinatorially_equivalent(G.map, H.map):
+        raise NotCombinatoriallyEquivalent(
+            "identity on labels does not extend to a map isomorphism"
+        )
+    diam = max(G.vertices.diameter, H.vertices.diameter)
+    threshold = tol.fit_threshold(diam)
+    rho = _assemble(_Regions(G), H, tuple(G.bounded_faces()), threshold)
+    if rho is None:
+        return None
+    order = sorted(G.vertices)
+    src, dst = G.vertices.take(order), H.vertices.take(order)
+    if np.linalg.norm(rho.apply(src) - dst, axis=1).max() > threshold:
+        return None
+    direct, _ = best_fit_isometry(src, dst, allow_reflection=True)
+    gap = np.linalg.norm(rho.apply(src) - direct.apply(src), axis=1).max()
+    if gap > threshold:
+        raise AssertionError(
+            f"assembled isometry deviates from the direct fit by {gap:g}"
+        )
+    return rho
+
+
 # ``geom.best_fit_isometry`` as it was before it became a caller of the
 # stacked ``geom._procrustes``, and the two-sided ``planegraph._assemble``
 # with its ``assemble_congruence`` as they were before assembly decomposed
@@ -872,3 +989,4 @@ def two_sided_assemble(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
             f"assembled isometry deviates from the direct fit by {gap:g}"
         )
     return rho
+

@@ -10,12 +10,14 @@ scipy-openblas 0.3.31 (Python 3.11). On another build, regenerate it with
 ``python tests/test_assembly_golden.py`` from a commit whose results are
 trusted.
 
-`test_one_sided_matches_two_sided` checks that assembly decomposing G
-alone returns what the two-sided assembly in ``oracles`` returns.
+`test_one_sided_matches_two_sided` checks that assembly on one tree of
+G's face indices returns what the two-sided assembly and the recursion
+over re-scanned regions of G in ``oracles`` return.
 
 `test_pieces_equal_rebuilt_graphs` checks that every piece
 `boundary_decomposition` returns is the graph `build_plane_graph` builds
-from the piece's own points and edges.
+from the piece's own points and edges, and `test_pieces_match_region_split`
+that the pieces hold the faces and edges of the region split in ``oracles``.
 """
 
 import hashlib
@@ -35,7 +37,7 @@ from edgesym.planegraph import (
 )
 from edgesym.verify import random_triangulation
 
-from oracles import two_sided_assemble
+from oracles import _Regions, recursive_assemble, two_sided_assemble
 
 NOISES = (0.0, 1e-8, 1e-3)
 DIGEST = "263e6cadc29ccd6135364e483adf620bf9d621ea98ca323d013198fd5cf47e4b"
@@ -86,8 +88,10 @@ def assembly_outcome(assemble, G, H):
 def moved_images(G, rng):
     """Images of G under a seeded rotation and a seeded reflection, each
     shifted, then with vertex noise of 0.3 and 3 times fit_eps * diameter,
-    and with one seeded vertex moved by 1e-3 * diameter, so that assembly
-    fails at the depth of that vertex's faces."""
+    with one seeded vertex moved by 1e-3 * diameter, so that assembly
+    fails at the depth of that vertex's faces, and last with vertex noise
+    of 0.1 times fit_eps * diameter, where the gap checks between faces
+    decide most outcomes that are None."""
     P, diam = G.vertices.array, G.vertices.diameter
     fit = DEFAULT_TOLERANCE.fit_threshold(diam)
     q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
@@ -98,6 +102,7 @@ def moved_images(G, rng):
         far = Q.copy()
         far[rng.integers(len(P))] += 1e-3 * diam * rng.standard_normal(2)
         moved.append(far)
+    moved += [Q + 0.1 * fit * rng.standard_normal(P.shape) for Q in moved[:2]]
     return moved
 
 
@@ -109,31 +114,49 @@ def test_one_sided_matches_two_sided(seed):
         for Q in moved_images(G, np.random.default_rng([seed, n])):
             H = build_plane_graph(list(zip(G.vertices.labels, Q)), G.edges)
             want = assembly_outcome(two_sided_assemble, G, H)
+            assert assembly_outcome(recursive_assemble, G, H) == want
             assert assembly_outcome(assemble_congruence, G, H) == want
             kinds.add(type(want))
     assert kinds == {bytes, type(None)}
 
 
-def test_pieces_equal_rebuilt_graphs():
+def boundary_faces():
+    """(G, face) for every bounded face touching the outer face of seeded
+    triangulations and gallery graphs."""
     graphs = [random_triangulation(n, s) for s in range(2) for n in range(4, 30)]
     graphs += [gallery(name) for name in
                ("square", "parallelogram", "hex_three_rhombi", "twisted_squares:4:2:5")]
-    count = 0
     for G in graphs:
         outer_edges = G.map.face_edges(G.map.outer_face)
         for fi in G.bounded_faces():
-            if not G.map.face_edges(fi) & outer_edges:
-                continue
-            for p in boundary_decomposition(G, fi):
-                ref = build_plane_graph(list(p.vertices.items()), p.edges)
-                assert list(p.vertices) == list(ref.vertices)
-                for label, point in p.vertices.items():
-                    assert np.array_equal(point, G.vertices[label])
-                assert p.edges == ref.edges
-                assert p.map.faces == ref.map.faces
-                assert p.map.outer_face == ref.map.outer_face
-                count += 1
+            if G.map.face_edges(fi) & outer_edges:
+                yield G, fi
+
+
+def test_pieces_equal_rebuilt_graphs():
+    count = 0
+    for G, fi in boundary_faces():
+        for p in boundary_decomposition(G, fi):
+            ref = build_plane_graph(list(p.vertices.items()), p.edges)
+            assert list(p.vertices) == list(ref.vertices)
+            for label, point in p.vertices.items():
+                assert np.array_equal(point, G.vertices[label])
+            assert p.edges == ref.edges
+            assert p.map.faces == ref.map.faces
+            assert p.map.outer_face == ref.map.outer_face
+            count += 1
     assert count == 407
+
+
+def test_pieces_match_region_split():
+    for G, fi in boundary_faces():
+        regions = _Regions(G)
+        want = regions.split(G.bounded_faces(), fi)
+        got = boundary_decomposition(G, fi)
+        assert len(got) == len(want)
+        for p, (region, edges) in zip(got, want):
+            assert {p.map.faces[i] for i in p.bounded_faces()} == {G.map.faces[i] for i in region}
+            assert set(p.edges) == edges
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from edgesym.geom import (
     circumradius_from_sides,
     diameter_of,
     is_inscribed,
+    polygon_area,
     reconstruct_inscribed_polygon,
     _diameters,
     _lstsq,
@@ -265,6 +266,30 @@ class TestProcrustesKernel:
                     assert linear[i].tobytes() == ref.linear.tobytes()
                     assert translation[i].tobytes() == ref.translation.tobytes()
                     assert rmsd[i].tobytes() == np.float64(ref_rmsd).tobytes()
+
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("allow_reflection", [True, False])
+    def test_stacked_sets_bit_identical_to_one_fit_each(self, d, allow_reflection):
+        rng = np.random.default_rng([d, allow_reflection, 1])
+        for k in range(3, 9):  # face sizes
+            cases = list(fit_cases(rng, d, k))
+            A, B = np.array([A for A, _ in cases]), np.array([B for _, B in cases])
+            linear, translation, rmsd = _procrustes(A, B, allow_reflection)
+            for i, (src, dst) in enumerate(cases):
+                ref, ref_rmsd = best_fit_isometry(src, dst, allow_reflection)
+                assert linear[i].tobytes() == ref.linear.tobytes()
+                assert translation[i].tobytes() == ref.translation.tobytes()
+                assert rmsd[i].tobytes() == np.float64(ref_rmsd).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_points_rejected(bad):
+    points, finite = np.array([[0, 0], [1, 0], [0, bad]]), np.array([[0, 0], [1, 0], [0, 1.0]])
+    for call in (lambda: best_fit_isometry(points, finite), lambda: best_fit_isometry(finite, points),
+                 lambda: is_inscribed(points), lambda: polygon_area(points)):
+        with pytest.raises(NonFiniteCoordinate):
+            call()
 
 
 class TestApplyIsometry:

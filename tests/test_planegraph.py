@@ -258,6 +258,33 @@ class TestAssembleCongruence:
                 polygon_area(poly), rel=1e-9
             )
 
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_large_triangulation(self, n):
+        # about n faces deep: past the recursion limit of a recursive assembly
+        G = random_triangulation(n, 1)
+        rng = np.random.default_rng(n)
+        pts = G.vertices.array
+        for sign in (1.0, -1.0):
+            q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+            q[:, 1] *= np.sign(np.linalg.det(q)) * sign
+            moved = pts @ q.T + rng.uniform(-3, 3, 2)
+            H = build_plane_graph(list(zip(G.vertices.labels, moved)), G.edges)
+            iso = assemble_congruence(G, H)
+            assert iso is not None and iso.orientation == sign
+            gap = np.linalg.norm(iso.apply(pts) - moved, axis=1).max()
+            assert gap <= 1e-8 * G.vertices.diameter
+
+    def test_large_assembly_memory(self):
+        G = random_triangulation(3000, 1)
+        tracemalloc.start()
+        try:
+            iso = assemble_congruence(G, G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert iso is not None
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
     def test_not_equivalent_raises(self):
         square = gallery("square")
         other = build_plane_graph(

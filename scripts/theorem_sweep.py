@@ -2,10 +2,14 @@
 """Sweep the built-in gallery, prism/antiprism families (n = 3..8, 16 and
 40), orbit polytopes of the groups T, O and Ih (one orbit each, and two
 orbits of Ih), and seeded random instances through the theorem verifier
-and print a classification table.
+and print a classification table. Each instance is also verified as
+power-of-two copies, 2^k times its coordinates (k = ±30, ±200 for
+polytopes, ±30, ±400 for plane graphs), which must get its classification
+and counts: every threshold is a multiple of the diameter.
 
 Exits nonzero if any instance raises the falsification alarm (hypothesis
-holds but some edge-preserving symmetry is unrealized).
+holds but some edge-preserving symmetry is unrealized), or if a scaled
+copy is classified or counted differently.
 """
 
 import argparse
@@ -15,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from edgesym import build_polytope, gallery
+from edgesym.planegraph import build_plane_graph
 from edgesym.verify import (
     CLASS_VIOLATION,
     random_inscribed_polytope,
@@ -31,6 +36,8 @@ POLYTOPES = [
     "dodecahedron", "icosahedron", "hex_prism", "frustum", "octa_tetra_glue",
 ]
 GRAPHS = ["square", "parallelogram", "hex_three_rhombi", "twisted_squares:4:2:10"]
+POLYTOPE_SCALES = (-200, -30, 30, 200)
+GRAPH_SCALES = (-400, -30, 30, 400)
 
 
 def main() -> int:
@@ -40,44 +47,57 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    rows = []
-    for name in POLYTOPES:
-        rows.append((name, verify_polytope_theorem(gallery(name), instance_id=name)))
+    polytopes = [(name, gallery(name)) for name in POLYTOPES]
     # n = 16 and 40 give caps merged from many hull triangles
     for n in [*range(3, 9), 16, 40]:
         for fam in ("prism", "antiprism"):
-            name = f"{fam}:{n}"
-            rows.append((name, verify_polytope_theorem(gallery(name), instance_id=name)))
+            polytopes.append((f"{fam}:{n}", gallery(f"{fam}:{n}")))
     # inscribed instances with non-trivial groups: each realizes exactly
     # the group, every symmetry of which preserves edges
     for group, orbits in (("T", 1), ("O", 1), ("Ih", 1), ("Ih", 2)):
-        name = f"orbit:{group}x{orbits}"
         points = orbit_points(group, np.random.default_rng(args.seed), orbits)
-        rows.append((name, verify_polytope_theorem(build_polytope(points), instance_id=name)))
-    for name in GRAPHS:
-        rows.append((name, verify_graph_theorem(gallery(name), instance_id=name)))
+        polytopes.append((f"orbit:{group}x{orbits}", build_polytope(points)))
+    graphs = [(name, gallery(name)) for name in GRAPHS]
 
     rng = np.random.default_rng(args.seed)
     for i in range(args.random):
         n = int(rng.integers(4, 41))
-        name = f"random_polytope:{n}:{i}"
-        rows.append((name, verify_polytope_theorem(
-            random_inscribed_polytope(n, seed=args.seed * 1000 + i), instance_id=name)))
+        polytopes.append((f"random_polytope:{n}:{i}",
+                          random_inscribed_polytope(n, seed=args.seed * 1000 + i)))
     for i in range(args.random):
         n = int(rng.integers(10, 41))
-        name = f"random_triangulation:{n}:{i}"
-        rows.append((name, verify_graph_theorem(
-            random_triangulation(n, seed=args.seed * 1000 + 500 + i), instance_id=name)))
+        graphs.append((f"random_triangulation:{n}:{i}",
+                       random_triangulation(n, seed=args.seed * 1000 + 500 + i)))
+
+    rows, mismatches, copies = [], [], 0
+    for instances, verify, rebuild, scales in (
+        (polytopes, verify_polytope_theorem, lambda X, pts: build_polytope(pts), POLYTOPE_SCALES),
+        (graphs, verify_graph_theorem, lambda X, pts: build_plane_graph(pts, X.edges),
+         GRAPH_SCALES),
+    ):
+        for name, X in instances:
+            verdict = verify(X, instance_id=name)
+            rows.append((name, verdict))
+            for k in scales:
+                copy = verify(rebuild(X, {l: p * 2.0**k for l, p in X.vertices.items()}),
+                              instance_id=name)
+                copies += 1
+                if ((copy.classification, copy.report.counts)
+                        != (verdict.classification, verdict.report.counts)):
+                    mismatches.append(f"{name} x 2^{k}: {copy.classification} "
+                                      f"{copy.report.counts}")
 
     width = max(len(name) for name, _ in rows)
-    alarms = 0
+    alarms = len(mismatches)
     for name, verdict in rows:
         c = verdict.report.counts
         print(f"{name:<{width}}  {c[0]:>5} sym  {c[1]:>5} edge-pres  {c[2]:>5} realized  "
               f"{verdict.classification}")
         if verdict.classification == CLASS_VIOLATION:
             alarms += 1
-    print(f"\n{len(rows)} instances, {alarms} alarms")
+    for line in mismatches:
+        print(f"scale mismatch: {line}")
+    print(f"\n{len(rows)} instances, {copies} scaled copies, {alarms} alarms")
     return 1 if alarms else 0
 
 

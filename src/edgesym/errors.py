@@ -34,7 +34,8 @@ class DuplicateLabel(EdgesymError):
 
 
 class NonFiniteCoordinate(EdgesymError):
-    """An input point has a NaN or infinite coordinate."""
+    """An input point has a NaN or infinite coordinate, or one so large that
+    squared distances overflow."""
 
 
 class NotFullDimensional(EdgesymError):

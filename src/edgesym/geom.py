@@ -37,7 +37,6 @@ __all__ = [
     "LabelledPoints",
     "CircleFit",
     "UnderdeterminedFitWarning",
-    "CoarseToleranceWarning",
     "best_fit_isometry",
     "circumradius_from_sides",
     "diameter_of",
@@ -51,17 +50,16 @@ class UnderdeterminedFitWarning(UserWarning):
     """Alignment was requested with fewer points than the ambient dimension."""
 
 
-class CoarseToleranceWarning(UserWarning):
-    """abs_eps looks too large relative to the instance diameter."""
-
-
 @dataclass(frozen=True)
 class Tolerance:
-    """Comparison thresholds: absolute, relative, and fit-acceptance.
+    """Comparison thresholds, each a coefficient of the instance diameter,
+    so that no verdict changes when the input is scaled.
 
-    ``abs_eps`` and ``rel_eps`` combine into a length-comparison threshold
-    via :meth:`length_eps`; ``fit_eps`` scales the instance diameter into
-    the maximal RMS residual accepted for isometry and circle fits.
+    Two lengths are equal within ``(abs_eps + rel_eps)`` times the diameter
+    (:meth:`length_eps`); ``abs_eps`` keeps its name only because reports
+    echo it. Isometry and circle fits accept an RMS residual of up to
+    ``fit_eps`` times the diameter, and the face merge takes ``fit_eps`` as
+    an angle in radians.
     """
 
     abs_eps: float = 1e-9
@@ -80,20 +78,11 @@ class Tolerance:
 
     def length_eps(self, diameter: float) -> float:
         """Threshold for declaring two lengths equal on an instance of this size."""
-        return self.abs_eps + self.rel_eps * diameter
+        return (self.abs_eps + self.rel_eps) * diameter
 
     def fit_threshold(self, diameter: float) -> float:
         """Max RMS residual accepted for a congruence fit on this instance."""
         return self.fit_eps * diameter
-
-    def warn_if_coarse(self, diameter: float) -> None:
-        # abs_eps <= 1e-3 * diameter is the recommended regime
-        if diameter > 0 and self.abs_eps > 1e-3 * diameter:
-            warnings.warn(
-                f"abs_eps={self.abs_eps:g} exceeds 1e-3 x instance diameter {diameter:g}",
-                CoarseToleranceWarning,
-                stacklevel=3,
-            )
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -163,6 +152,12 @@ class LabelledPoints(Mapping):
         if not np.isfinite(self.array).all():
             bad = next(l for l, p in zip(self.labels, self.array) if not np.isfinite(p).all())
             raise NonFiniteCoordinate(f"point {bad!r} has a non-finite coordinate")
+        # past this bound the squared distances of the diameter overflow
+        limit = math.sqrt(np.finfo(float).max / (4 * max(self.array.shape[-1], 1)))
+        if self.array.size and np.abs(self.array).max() > limit:
+            bad = next(l for l, p in zip(self.labels, self.array) if np.abs(p).max() > limit)
+            raise NonFiniteCoordinate(f"point {bad!r} has a coordinate beyond {limit:g}, "
+                                      "where squared distances overflow")
         self.array.setflags(write=False)
         self._diameter: float | None = None
 
@@ -436,7 +431,7 @@ def _fit_circles(S: np.ndarray, tol: Tolerance):
     for _ in range(20):
         diff = Q[live] - x[live, None, :2]
         dist = np.hypot(diff[..., 0], diff[..., 1])
-        go = ~(dist.min(axis=1) <= 1e-300)
+        go = ~(dist.min(axis=1) <= 0)  # a point on the center has no direction
         if not go.all():
             live, diff, dist = live[go], diff[go], dist[go]
         if not len(live):
@@ -445,7 +440,7 @@ def _fit_circles(S: np.ndarray, tol: Tolerance):
         res = dist - x[live, 2, None]
         step = _lstsq(J, -res)
         x[live] += step
-        live = live[~(np.abs(step).max(axis=1) <= 1e-15 * np.maximum(np.abs(x[live, 2]), 1e-30))]
+        live = live[~(np.abs(step).max(axis=1) <= 1e-15 * np.abs(x[live, 2]))]
     diff = Q - x[:, None, :2]
     max_res = np.abs(np.hypot(diff[..., 0], diff[..., 1]) - x[:, 2, None]).max(axis=1)
     center = x[:, :2] + c0

@@ -84,9 +84,9 @@ def _first_bad_pair(coords: np.ndarray, ea: np.ndarray, eb: np.ndarray,
         ab, seg_len = vec[e], length[e]
         ap = pt - a
         side = ab[:, 0] * ap[:, 1] - ab[:, 1] * ap[:, 0]
-        t = np.clip((ap * ab).sum(axis=1) / np.maximum(seg_len**2, 1e-300), 0.0, 1.0)
+        t = np.clip((ap * ab).sum(axis=1) / np.maximum(seg_len**2, np.finfo(float).tiny), 0.0, 1.0)
         closest = a + t[:, None] * ab
-        return side, np.linalg.norm(pt - closest, axis=1) <= eps * np.maximum(seg_len, 1.0)
+        return side, np.linalg.norm(pt - closest, axis=1) <= eps
 
     d1, hit1 = against(p1, q1, jj)
     d2, hit2 = against(p2, q1, jj)
@@ -108,24 +108,23 @@ def _first_bad_pair(coords: np.ndarray, ea: np.ndarray, eb: np.ndarray,
 def _check_crossings(coords: np.ndarray, edges: list[tuple[int, int]],
                      names: list[str], eps: float) -> None:
     # Two edges can only cross or touch if their boxes meet once each is
-    # padded by its edge's hit radius eps·max(length, 1). The boxes are
-    # binned on a uniform grid with cells of the median padded box size. A
-    # box covering more than _MAX_CELLS cells stays off the grid, and its
-    # edge is paired with every edge, so the grid holds at most
-    # _MAX_CELLS·E entries. Each candidate pair (i, j), i < j, lies in a run:
-    # the short edges after i in a cell they share, every edge after a long
-    # i, or the long edges after a short i. Runs are expanded in blocks of
-    # whole rows i holding about _PAIR_BLOCK pairs, then sorted and deduped,
-    # so the first bad pair is the first in pair order and memory stays
-    # O(E + _PAIR_BLOCK). With one cell, every pair is tested.
+    # padded by the hit radius eps, a length. The boxes are binned on a
+    # uniform grid with cells of the median padded box size. A box covering
+    # more than _MAX_CELLS cells stays off the grid, and its edge is paired
+    # with every edge, so the grid holds at most _MAX_CELLS·E entries. Each
+    # candidate pair (i, j), i < j, lies in a run: the short edges after i
+    # in a cell they share, every edge after a long i, or the long edges
+    # after a short i. Runs are expanded in blocks of whole rows i holding
+    # about _PAIR_BLOCK pairs, then sorted and deduped, so the first bad
+    # pair is the first in pair order and memory stays O(E + _PAIR_BLOCK).
+    # With one cell, every pair is tested.
     m = len(edges)
     ea = np.array([e[0] for e in edges])
     eb = np.array([e[1] for e in edges])
     vec = coords[eb] - coords[ea]
     length = np.linalg.norm(vec, axis=1)
-    pad = eps * np.maximum(length, 1.0)[:, None]
-    lo = np.minimum(coords[ea], coords[eb]) - pad
-    hi = np.maximum(coords[ea], coords[eb]) + pad
+    lo = np.minimum(coords[ea], coords[eb]) - eps
+    hi = np.maximum(coords[ea], coords[eb]) + eps
     origin = lo.min(axis=0)
     span = float((hi.max(axis=0) - origin).max())
     cell = max(float(np.median((hi - lo).max(axis=1))), span / 2**26)  # keys below 2**53

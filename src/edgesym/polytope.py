@@ -91,9 +91,8 @@ def face_map(P: IndexedPolytope, tol: Tolerance = DEFAULT_TOLERANCE) -> Combinat
     triangle edges whose neighbour lies in another group, so it inherits
     their orientation; all groups are walked at once, on arrays, and the
     integer cycles go to the map's array core. The result is independent of
-    the input point order, unless ``fit_eps`` is so small that cos(fit_eps)
-    rounds to 1. A group without one simple boundary cycle, such as one
-    covering the whole hull when ``fit_eps`` is coarse, raises
+    the input point order. A group without one simple boundary cycle, such
+    as one covering the whole hull when ``fit_eps`` is coarse, raises
     DegenerateFaceMerge.
     """
     labels, pts = P.vertices.labels, P.vertices.array
@@ -105,9 +104,11 @@ def face_map(P: IndexedPolytope, tol: Tolerance = DEFAULT_TOLERANCE) -> Combinat
     # neighbour k lies opposite vertex k, so both swap columns 1 and 2
     tris[cw, 1:], nbrs[cw, 1:] = tris[cw, :0:-1], nbrs[cw, :0:-1]
 
-    # one (1, 3) @ (3, 1) matmul per pair rounds as normals[i] @ normals[j]
-    dots = (normals[:, None, None, :] @ normals[nbrs][..., None])[..., 0, 0]
-    merged = dots >= math.cos(tol.fit_eps)
+    # the chord between unit normals at fit_eps radians; one (1, 3) @ (3, 1)
+    # matmul per pair rounds as np.linalg.norm(normals[i] - normals[j])
+    diff = normals[:, None, :] - normals[nbrs]
+    chord = np.sqrt((diff[..., None, :] @ diff[..., None])[..., 0, 0])
+    merged = chord <= 2 * math.sin(min(tol.fit_eps, math.pi) / 2)
     # each triangle takes the smallest triangle index of its group
     group = np.arange(len(tris))
     while True:

@@ -401,7 +401,6 @@ def analyze(M: CombinatorialMap, coords, tol: Tolerance = DEFAULT_TOLERANCE,
     """Enumerate, filter, and attempt to realize every combinatorial
     symmetry; records come back sorted by permutation word."""
     inst = _Instance(M, coords, tol)
-    tol.warn_if_coarse(inst.diameter)
     vmaps, fmaps = _automorphisms(M)
     perms = [VertexPermutation._from_image(M.vertices, vmap) for vmap in vmaps]
     edge_ok, _, (linear, translation, rmsd, realized) = inst.classify(vmaps)

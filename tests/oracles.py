@@ -219,9 +219,9 @@ def _first_bad_pair(coords, ea, eb, vec, length, ii, jj, eps):
         ab, seg_len = vec[e], length[e]
         ap = pt - a
         side = ab[:, 0] * ap[:, 1] - ab[:, 1] * ap[:, 0]
-        t = np.clip((ap * ab).sum(axis=1) / np.maximum(seg_len**2, 1e-300), 0.0, 1.0)
+        t = np.clip((ap * ab).sum(axis=1) / np.maximum(seg_len**2, np.finfo(float).tiny), 0.0, 1.0)
         closest = a + t[:, None] * ab
-        return side, np.linalg.norm(pt - closest, axis=1) <= eps * np.maximum(seg_len, 1.0)
+        return side, np.linalg.norm(pt - closest, axis=1) <= eps
 
     d1, hit1 = against(p1, q1, jj)
     d2, hit2 = against(p2, q1, jj)
@@ -303,10 +303,12 @@ def _chain_boundary(bound_edges: list[tuple[int, int]], group: list[int]) -> lis
 
 def union_find_face_map(P, tol=DEFAULT_TOLERANCE):
     """The face lattice of P by the route ``polytope.face_map`` took before
-    it read the hull's adjacency arrays, kept verbatim as its reference.
+    it read the hull's adjacency arrays, kept as its reference; only its
+    merge test changed with ``face_map``'s, from cos(fit_eps), which rounds
+    to 1.0 below about 1.5e-8 rad, to the chord between unit normals.
 
     Hull facets are computed as triangles, adjacent coplanar triangles
-    (normal deviation below ``fit_eps`` radians) are merged into polygonal
+    (normals within the chord 2 sin(fit_eps / 2)) are merged into polygonal
     faces by a union-find, each group's boundary edges (those in one of its
     triangles) are chained as undirected edges, and each face cycle is
     oriented counterclockwise viewed from outside by its Newell normal.
@@ -317,7 +319,7 @@ def union_find_face_map(P, tol=DEFAULT_TOLERANCE):
     hull = ConvexHull(pts)
     tris = hull.simplices
     normals = hull.equations[:, :3]
-    merge_cos = math.cos(tol.fit_eps)
+    merge_chord = 2 * math.sin(min(tol.fit_eps, math.pi) / 2)
 
     group_of = list(range(len(tris)))
 
@@ -329,7 +331,7 @@ def union_find_face_map(P, tol=DEFAULT_TOLERANCE):
 
     for i in range(len(tris)):
         for j in hull.neighbors[i]:
-            if j > i and float(normals[i] @ normals[j]) >= merge_cos:
+            if j > i and float(np.linalg.norm(normals[i] - normals[j])) <= merge_chord:
                 group_of[find(int(j))] = find(i)
 
     groups: dict[int, list[int]] = {}

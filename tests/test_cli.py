@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import edgesym
 from edgesym.cli import main
 from edgesym.io import write_graph_json, write_off
 from edgesym import gallery
@@ -166,6 +169,33 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: Qhull failed: QH") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", [520, 600])
+    def test_overflowing_coordinates_are_input_error(self, tmp_path, k):
+        # past sqrt(max float / 12) the squared distances overflow, and
+        # Qhull could take the process down, so this runs in a subprocess
+        path = tmp_path / f"oblique_{k}.off"
+        points = gallery("oblique_parallelepiped").vertices.array * 2.0**k
+        path.write_text(f"OFF\n{len(points)} 0 0\n"
+                        + "".join(" ".join(map(repr, p.tolist())) + "\n" for p in points))
+        env = dict(os.environ, PYTHONPATH=str(Path(edgesym.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "edgesym.cli", "verify", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and "squared distances overflow" in done.stderr
+
+    def test_tiny_box_is_no_alarm(self, capsys, tmp_path):
+        # edges 1e-12, 2e-12 and 3e-12: every length threshold shrinks with
+        # the box, so no edge difference drowns in an absolute floor
+        path = tmp_path / "tiny_box.off"
+        corners = [(x, y, z) for x in (0, 1e-12) for y in (0, 2e-12) for z in (0, 3e-12)]
+        path.write_text("OFF\n8 0 0\n" + "".join(f"{x} {y} {z}\n" for x, y, z in corners))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["payload"]["classification"] == "theorem-applies-and-holds"
 
     def test_tol_scaling_echoed(self, capsys):
         code, out, _ = run(capsys, "verify", "--gallery", "cube", "--tol", "10")

@@ -99,6 +99,20 @@ class TestFaceMap:
             shuffled = build_polytope([items[i] for i in perm])
             assert face_map(shuffled) == M
 
+    @pytest.mark.parametrize("spec,faces", [("dodecahedron", 12), ("octa_tetra_glue", 7),
+                                            ("prism:40", 42)])
+    @pytest.mark.parametrize("scale", [1e-3, 1e-6])
+    def test_fine_tolerance_face_count_is_order_free(self, spec, faces, scale):
+        # at fit_eps = 1e-9 and 1e-12 rad, cos(fit_eps) rounds to 1.0, but
+        # the merge chord stays far above the normals' rounding noise
+        tol = DEFAULT_TOLERANCE.scaled(scale)
+        items = list(gallery(spec).vertices.items())
+        rng = np.random.default_rng(6)
+        for _ in range(6):
+            perm = rng.permutation(len(items))
+            shuffled = IndexedPolytope(dict(items[i] for i in perm))
+            assert len(face_map(shuffled, tol).face_sizes) == faces
+
     def test_faces_ccw_from_outside(self, cube):
         M = face_map(cube)
         centroid = cube.vertices.array.mean(axis=0)
@@ -132,9 +146,9 @@ REFERENCE_CORPUS = (
 @pytest.mark.parametrize("spec", REFERENCE_CORPUS)
 def test_face_map_matches_union_find_reference(spec):
     """Equal maps, or the same exception class, as the union-find route,
-    on the input and on a shuffled copy, at three tolerance scales; the
-    scale 1e-3 puts cos(fit_eps) at 1.0, where the dot products must
-    round as the reference's do."""
+    on the input and on a shuffled copy, at three tolerance scales; at
+    the scale 1e-3 the merge chord is about 1e-9, so the chords must round
+    as the reference's do."""
     if spec.startswith("sphere:"):
         _, n, seed = spec.split(":")
         P = random_inscribed_polytope(int(n), int(seed))

@@ -6,6 +6,7 @@ import pytest
 from edgesym import gallery, geom, io, polytope, twisted_squares
 from edgesym.errors import InvalidGalleryParameter, UnknownGalleryName
 from edgesym.geom import DEFAULT_TOLERANCE, best_fit_isometry
+from edgesym.planegraph import build_plane_graph
 from edgesym.verify import (
     CLASS_APPLIES,
     CLASS_FAILS_FAILS,
@@ -117,6 +118,41 @@ class TestGraphVerdicts:
         v = verify_graph_theorem(gallery("square"))
         assert v.classification == CLASS_APPLIES
         assert v.report.counts == (8, 8, 8)
+
+
+def scaled_points(vertices, k):
+    """The labelled points times 2^k: exact in binary floating point, so
+    only a threshold that is not a multiple of the diameter can tell the
+    copies apart."""
+    return {l: p * 2.0**k for l, p in vertices.items()}
+
+
+class TestScaleInvariance:
+    """verify of 2^k·P gives P's classification and counts."""
+
+    @pytest.mark.parametrize("spec", [
+        "cube", "box_1_2_3", "frustum", "oblique_parallelepiped", "dodecahedron",
+        "icosahedron", "hex_prism", "octa_tetra_glue", "sphere:0", "sphere:1", "sphere:2",
+    ])
+    def test_polytope(self, spec):
+        P = (random_inscribed_polytope(60, int(spec.split(":")[1])) if spec.startswith("sphere:")
+             else gallery(spec))
+        v = verify_polytope_theorem(P)
+        for k in (-250, -120, -30, 30, 120, 250):
+            w = verify_polytope_theorem(polytope.build_polytope(scaled_points(P.vertices, k)))
+            assert (w.classification, w.report.counts) == (v.classification, v.report.counts), k
+
+    @pytest.mark.parametrize("spec", [
+        "square", "parallelogram", "hex_three_rhombi", "twisted_squares:4:2:10",
+        "triangulation:0", "triangulation:1", "triangulation:2",
+    ])
+    def test_graph(self, spec):
+        G = (random_triangulation(24, int(spec.split(":")[1])) if spec.startswith("triangulation:")
+             else gallery(spec))
+        v = verify_graph_theorem(G)
+        for k in (-500, -250, -30, 30, 250, 500):
+            w = verify_graph_theorem(build_plane_graph(scaled_points(G.vertices, k), G.edges))
+            assert (w.classification, w.report.counts) == (v.classification, v.report.counts), k
 
 
 class TestRandomInscribedPolytope:

@@ -114,9 +114,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _tolerance(args)
-    pairs = list(_instances(args, tol))
     code = EXIT_OK
-    for source, instance in pairs:
+    for source, instance in _instances(args, tol):
         verdict = _verify_one(source, instance, tol)
         _print_report(source, instance, verdict, tol, args.format)
         if verdict.classification == CLASS_VIOLATION:

@@ -78,6 +78,15 @@ class DecompositionError(EdgesymError):
     """A decomposition piece violates the expected boundary structure."""
 
 
+class InvalidTolerance(EdgesymError, ValueError):
+    """A tolerance component that is not positive and finite."""
+
+
+class InvalidPlaneGraph(EdgesymError, ValueError):
+    """Too few vertices, an edge at an unknown label or a self-loop, or a
+    face index that names no bounded face."""
+
+
 class InvalidMap(EdgesymError, ValueError):
     """Face cycles that do not form a sphere map (see CombinatorialMap)."""
 

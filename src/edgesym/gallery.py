@@ -27,8 +27,8 @@ _SQ2 = math.sqrt(2.0)
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def _polytope(points, tol=DEFAULT_TOLERANCE) -> IndexedPolytope:
-    return build_polytope([(str(i + 1), p) for i, p in enumerate(points)], tol)
+def _polytope(points) -> IndexedPolytope:
+    return build_polytope([(str(i + 1), p) for i, p in enumerate(points)])
 
 
 def _box_like(a, b, c) -> IndexedPolytope:
@@ -118,19 +118,19 @@ def octa_tetra_glue() -> IndexedPolytope:
     return _polytope(pts)
 
 
-def square_graph(tol=DEFAULT_TOLERANCE) -> ConvexPlaneGraph:
+def square_graph() -> ConvexPlaneGraph:
     points = [("1", (0, 0)), ("2", (1, 0)), ("3", (1, 1)), ("4", (0, 1))]
     edges = [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1")]
-    return build_plane_graph(points, edges, tol)
+    return build_plane_graph(points, edges)
 
 
-def parallelogram(tol=DEFAULT_TOLERANCE) -> ConvexPlaneGraph:
+def parallelogram() -> ConvexPlaneGraph:
     points = [("1", (0, 0)), ("2", (2, 0)), ("3", (3, 1)), ("4", (1, 1))]
     edges = [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1")]
-    return build_plane_graph(points, edges, tol)
+    return build_plane_graph(points, edges)
 
 
-def hex_three_rhombi(tol=DEFAULT_TOLERANCE) -> ConvexPlaneGraph:
+def hex_three_rhombi() -> ConvexPlaneGraph:
     """Regular unit hexagon (labels 1..6) with center 7 joined to the
     alternating corners 1, 3, 5: three rhombic faces with acute angle pi/3."""
     points = [
@@ -140,7 +140,7 @@ def hex_three_rhombi(tol=DEFAULT_TOLERANCE) -> ConvexPlaneGraph:
     points.append(("7", (0.0, 0.0)))
     edges = [(str(k + 1), str((k + 1) % 6 + 1)) for k in range(6)]
     edges += [("7", "1"), ("7", "3"), ("7", "5")]
-    return build_plane_graph(points, edges, tol)
+    return build_plane_graph(points, edges)
 
 
 def twisted_squares(s_out: float, s_in: float, alpha_deg: float,

@@ -24,6 +24,7 @@ from .errors import (
     DegeneratePolygon,
     DimensionMismatch,
     DuplicateLabel,
+    InvalidTolerance,
     LengthMismatch,
     NonCoplanarPoints,
     NonFiniteCoordinate,
@@ -67,13 +68,13 @@ class Tolerance:
     fit_eps: float = 1e-6
 
     def __post_init__(self) -> None:
-        if min(self.abs_eps, self.rel_eps, self.fit_eps) <= 0:
-            raise ValueError("all tolerance components must be strictly positive")
+        if not all(0 < x < math.inf for x in (self.abs_eps, self.rel_eps, self.fit_eps)):
+            raise InvalidTolerance("all tolerance components must be positive and finite, got "
+                                   f"{self.abs_eps}, {self.rel_eps}, {self.fit_eps}")
 
     def scaled(self, factor: float) -> "Tolerance":
-        """Uniformly scale all three thresholds (used by the CLI --tol flag)."""
-        if factor <= 0:
-            raise ValueError("tolerance scale factor must be strictly positive")
+        """Uniformly scale all three thresholds (used by the CLI --tol flag);
+        the products are checked as any tolerance is."""
         return Tolerance(self.abs_eps * factor, self.rel_eps * factor, self.fit_eps * factor)
 
     def length_eps(self, diameter: float) -> float:
@@ -266,13 +267,12 @@ class Isometry:
         }
 
 
-def best_fit_isometry(src, dst, allow_reflection: bool = True) -> tuple[Isometry, float]:
+def best_fit_isometry(src, dst) -> tuple[Isometry, float]:
     """Least-squares rigid alignment of matched point sets (Kabsch/Procrustes).
 
-    Minimizes sum |rho(src_i) - dst_i|^2 over rotations, or over all
-    orthogonal maps when ``allow_reflection`` is set. Returns the optimal
-    isometry and the RMS residual: the fit of ``_procrustes`` with one
-    target point set.
+    Minimizes sum |rho(src_i) - dst_i|^2 over all orthogonal maps rho,
+    reflections included. Returns the optimal isometry and the RMS
+    residual: the fit of ``_procrustes`` with one target point set.
     """
     A = _as_points(src)
     B = np.asarray(dst, dtype=float)
@@ -288,25 +288,20 @@ def best_fit_isometry(src, dst, allow_reflection: bool = True) -> tuple[Isometry
             UnderdeterminedFitWarning,
             stacklevel=2,
         )
-    linear, translation, rmsd = _procrustes(A, B[None], allow_reflection)
+    linear, translation, rmsd = _procrustes(A, B[None])
     return Isometry(linear[0], translation[0]), float(rmsd[0])
 
 
-def _procrustes(A: np.ndarray, B: np.ndarray, allow_reflection: bool = True):
-    """Kabsch fit of the points A (n, d), or of each set of a stack A
-    (F, n, d), onto each point set of the stack B (F, n, d): linear parts
-    (F, d, d), translations (F, d) and RMS residuals (F,), each row the
-    bits of its fit alone. Without ``allow_reflection``, a reflection is
-    refitted with the last singular direction flipped."""
+def _procrustes(A: np.ndarray, B: np.ndarray):
+    """Kabsch fit, over all orthogonal maps, of the points A (n, d), or of
+    each set of a stack A (F, n, d), onto each point set of the stack B
+    (F, n, d): linear parts (F, d, d), translations (F, d) and RMS
+    residuals (F,), each row the bits of its fit alone."""
     n, d = A.shape[-2:]
     ca = A.mean(axis=-2)
     cb = B.mean(axis=1)
     U, _sing, Vt = np.linalg.svd(np.swapaxes(A - ca[..., None, :], -1, -2) @ (B - cb[:, None]))
     R = np.swapaxes(Vt, 1, 2) @ np.swapaxes(U, 1, 2)
-    if not allow_reflection:
-        flip = np.linalg.det(R) < 0
-        R[flip] = (np.swapaxes(Vt[flip], 1, 2) @ np.diag([1.0] * (d - 1) + [-1.0])
-                   @ np.swapaxes(U[flip], 1, 2))
     t = cb - (R @ ca[..., None])[..., 0]
     resid = A @ np.swapaxes(R, 1, 2) + t[:, None] - B
     return R, t, np.sqrt((resid * resid).reshape(len(B), n * d).sum(axis=1) / n)
@@ -321,16 +316,6 @@ class CircleFit:
     radius: float
     max_residual: float
     plane_normal: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "center": [float(x) for x in self.center],
-            "radius": float(self.radius),
-            "max_residual": float(self.max_residual),
-        }
-        if self.plane_normal is not None:
-            doc["plane_normal"] = [float(x) for x in self.plane_normal]
-        return doc
 
 
 def polygon_area(polygon) -> float:

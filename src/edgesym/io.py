@@ -160,7 +160,7 @@ def parse_off(text: str, tol: Tolerance | None = None,
                 f"{source}:{lineno}: face references unknown vertex index {out_of_range[0]}"
             )
         off_faces.append([str(v) for v in indices])
-    P = build_polytope(points, tol)
+    P = build_polytope(points)
     if off_faces:
         declared = sorted(cycle_key(f) for f in off_faces)
         recomputed = sorted(face_map(P, tol).face_keys())

@@ -25,6 +25,7 @@ from .errors import (
     Disconnected,
     EdgeCrossing,
     FaceNotOnBoundary,
+    InvalidPlaneGraph,
     NonConvexBoundedFace,
     NonSimpleOuterBoundary,
     NotCombinatoriallyEquivalent,
@@ -49,11 +50,14 @@ class ConvexPlaneGraph:
     outer face."""
 
     vertices: LabelledPoints
-    edges: tuple[tuple[str, str], ...]
     map: CombinatorialMap
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", LabelledPoints.of(self.vertices))
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        return self.map.edges
 
     def bounded_faces(self) -> list[int]:
         return [i for i in range(len(self.map.face_sizes)) if i != self.map.outer_face]
@@ -189,15 +193,15 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise DimensionMismatch(f"expected (n, 2) coordinates, got shape {coords.shape}")
     if len(coords) < 3:
-        raise ValueError(f"a plane graph needs at least 3 vertices, got {len(coords)}")
+        raise InvalidPlaneGraph(f"a plane graph needs at least 3 vertices, got {len(coords)}")
 
     edge_set: set[tuple[str, str]] = set()
     for u, v in edges:
         u, v = str(u), str(v)
         if u not in index or v not in index:
-            raise ValueError(f"edge ({u}, {v}) references an unknown vertex label")
+            raise InvalidPlaneGraph(f"edge ({u}, {v}) references an unknown vertex label")
         if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
+            raise InvalidPlaneGraph(f"self-loop at vertex {u}")
         edge_set.add(edge_key(u, v))
     if not edge_set:
         raise Disconnected("graph has no edges")
@@ -218,8 +222,7 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
         raise Disconnected(f"vertices {missing} are not connected to {labels[0]!r}")
 
     eps = tol.length_eps(vertices.diameter)
-    edge_list = sorted(edge_set)
-    int_edges = [(index[u], index[v]) for u, v in edge_list]
+    int_edges = [(index[u], index[v]) for u, v in sorted(edge_set)]
     _check_crossings(coords, int_edges, labels, eps)
 
     # rotation system: darts 2e and 2e + 1 run both ways along edge e. The
@@ -284,7 +287,7 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
         )
 
     cmap = CombinatorialMap._from_cycles(names, cycles, sizes, outer_face=outer)
-    return ConvexPlaneGraph(vertices=vertices, edges=tuple(edge_list), map=cmap)
+    return ConvexPlaneGraph(vertices=vertices, map=cmap)
 
 
 def _neighbours(M: CombinatorialMap) -> list[list[int]]:
@@ -325,7 +328,7 @@ def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGr
     """
     M = G.map
     if M.outer_face is None or not 0 <= face < len(M.faces) or face == M.outer_face:
-        raise ValueError(f"face {face} is not a bounded face of the graph")
+        raise InvalidPlaneGraph(f"face {face} is not a bounded face of the graph")
     neighbours = _neighbours(M)
     if M.outer_face not in neighbours[face]:
         raise FaceNotOnBoundary(f"face {M.faces[face]} shares no edge with the outer boundary")
@@ -354,7 +357,7 @@ def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGr
         cmap = CombinatorialMap._from_cycles(M.vertices, np.concatenate([fv[at], walk]),
                                              np.append(sizes[fis], len(walk)), len(fis))
         points = LabelledPoints(zip(cmap.vertices, G.vertices.take(cmap.vertices)))
-        pieces.append(ConvexPlaneGraph(vertices=points, edges=cmap.edges, map=cmap))
+        pieces.append(ConvexPlaneGraph(vertices=points, map=cmap))
     return pieces
 
 
@@ -440,7 +443,7 @@ def assemble_congruence(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
     rho = Isometry(linear[order[0]], shift[order[0]])
     if np.linalg.norm(rho.apply(src) - dst, axis=1).max() > threshold:
         return None
-    direct, _ = best_fit_isometry(src, dst, allow_reflection=True)
+    direct, _ = best_fit_isometry(src, dst)
     gap = np.linalg.norm(rho.apply(src) - direct.apply(src), axis=1).max()
     if gap > threshold:
         raise AssertionError(

@@ -54,7 +54,7 @@ class IndexedPolytope:
         return hull.simplices, hull.neighbors, hull.equations
 
 
-def build_polytope(points, tol: Tolerance = DEFAULT_TOLERANCE) -> IndexedPolytope:
+def build_polytope(points) -> IndexedPolytope:
     """Validate labelled points as the vertex set of a convex 3-polytope.
 
     Every point must be an extreme point of the hull (labels index

@@ -244,16 +244,16 @@ class _Instance:
             raise ValueError("permutation and map act on different vertex labels")
         return sigma._image[None]
 
-    def classify(self, images: np.ndarray, fit: bool = True):
-        """Edge test and, with ``fit``, best-fit isometry of every row of
-        vertex images, in blocks of rows.
+    def classify(self, images: np.ndarray):
+        """Edge test and best-fit isometry of every row of vertex images,
+        in blocks of rows.
 
         Returns ``edge_ok`` (every edge maps to an edge of equal length,
         within the absolute-plus-relative threshold), ``offending`` (the
         first edge in ``M.edges`` order failing that test if it maps to a
-        non-edge, else -1) and, with ``fit``, the stacked orthogonal
-        Procrustes fits as (linear parts, translations, RMS residuals,
-        residual within ``fit_eps`` times the diameter); None without.
+        non-edge, else -1) and the stacked orthogonal Procrustes fits as
+        (linear parts, translations, RMS residuals, residual within
+        ``fit_eps`` times the diameter).
         """
         n, n_e = len(self.points), len(self.lengths)
         eps = self.tol.length_eps(self.diameter)
@@ -269,8 +269,6 @@ class _Instance:
             edge_ok.append(~bad[rows, first])
             offending.append(np.where(bad[rows, first] & ~is_edge[rows, first], first, -1))
         edge_ok, offending = np.concatenate(edge_ok), np.concatenate(offending)
-        if not fit:
-            return edge_ok, offending, None
         A = _as_points(self.points)
         fits = [_procrustes(A, A[images[block]]) for block in _row_blocks(len(images), A.size)]
         linear, translation, rmsd = map(np.concatenate, zip(*fits))
@@ -285,7 +283,7 @@ def is_edge_preserving(M: CombinatorialMap, coords, sigma: VertexPermutation,
     the first edge, in ``M.edges`` order, failing that maps to a non-edge."""
     inst = _Instance(M, coords, tol)
     row = inst.image_row(sigma)
-    edge_ok, offending, _ = inst.classify(row, fit=False)
+    edge_ok, offending, _ = inst.classify(row)
     first = int(offending[0])
     if first >= 0:
         u, v = M.edges[first]
@@ -305,27 +303,33 @@ def realize(M: CombinatorialMap, coords, sigma: VertexPermutation,
 
 @dataclass(frozen=True)
 class SymmetryRecord:
-    """Classification of one combinatorial symmetry."""
+    """Classification of one combinatorial symmetry: ``isometry`` is the
+    isometry realizing it, or None if none fits."""
 
     sigma: VertexPermutation
     face_image: tuple[int, ...]
     edge_preserving: bool
-    realized: bool
     isometry: Optional[Isometry]
     rmsd: float
-    orientation: Optional[int]
+
+    @property
+    def realized(self) -> bool:
+        return self.isometry is not None
+
+    @property
+    def orientation(self) -> Optional[int]:
+        return None if self.isometry is None else self.isometry.orientation
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "sigma": self.sigma.cycle_notation(),
             "face_image": list(self.face_image),
             "edge_preserving": self.edge_preserving,
             "realized": self.realized,
             "rmsd": float(self.rmsd),
+            "orientation": self.orientation,
+            "isometry": None if self.isometry is None else self.isometry.to_dict(),
         }
-        doc["orientation"] = self.orientation if self.realized else None
-        doc["isometry"] = self.isometry.to_dict() if self.isometry is not None else None
-        return doc
 
 
 @dataclass(frozen=True)
@@ -333,25 +337,34 @@ class SymmetryReport:
     """All combinatorial symmetries of one instance with their flags."""
 
     instance_id: str
-    total: int
-    edge_preserving_count: int
-    realized_count: int
     records: tuple[SymmetryRecord, ...]
     group_closed: bool
+
+    @property
+    def total(self) -> int:
+        return len(self.records)
+
+    @property
+    def edge_preserving_count(self) -> int:
+        return sum(r.edge_preserving for r in self.records)
+
+    @property
+    def realized_count(self) -> int:
+        return sum(r.realized for r in self.records)
 
     @property
     def counts(self) -> tuple[int, int, int]:
         return (self.total, self.edge_preserving_count, self.realized_count)
 
+    def counts_doc(self) -> dict:
+        """The counts as the symmetry report and the theorem verdict print them."""
+        return dict(zip(("total", "edge_preserving", "realized"), self.counts))
+
     def to_dict(self) -> dict:
         return {
             "kind": "symmetry_report",
             "instance_id": self.instance_id,
-            "counts": {
-                "total": self.total,
-                "edge_preserving": self.edge_preserving_count,
-                "realized": self.realized_count,
-            },
+            "counts": self.counts_doc(),
             "group_closed": self.group_closed,
             "records": [r.to_dict() for r in self.records],
         }
@@ -411,29 +424,18 @@ def analyze(M: CombinatorialMap, coords, tol: Tolerance = DEFAULT_TOLERANCE,
         )
     at = np.flatnonzero(realized).tolist()
     isometries = dict(zip(at, Isometry._from_stack(linear[at], translation[at])))
-    orientations = dict(zip(at, np.where(np.linalg.det(linear[at]) > 0, 1, -1).tolist()))
-    records = []
-    for i, (sigma, face_image) in enumerate(zip(perms, fmaps.tolist())):
-        iso = isometries.get(i)
-        records.append(
-            SymmetryRecord(
-                sigma=sigma,
-                face_image=tuple(face_image),
-                edge_preserving=bool(edge_ok[i]),
-                realized=iso is not None,
-                isometry=iso,
-                rmsd=float(rmsd[i]),
-                orientation=orientations.get(i),
-            )
+    records = tuple(
+        SymmetryRecord(
+            sigma=sigma,
+            face_image=tuple(face_image),
+            edge_preserving=bool(edge_ok[i]),
+            isometry=isometries.get(i),
+            rmsd=float(rmsd[i]),
         )
+        for i, (sigma, face_image) in enumerate(zip(perms, fmaps.tolist()))
+    )
     identity = next((r for r in records if r.sigma.is_identity()), None)
     if identity is None or not identity.realized:
         raise AssertionError("identity permutation missing or unrealized")
-    return SymmetryReport(
-        instance_id=instance_id,
-        total=len(records),
-        edge_preserving_count=sum(r.edge_preserving for r in records),
-        realized_count=sum(r.realized for r in records),
-        records=tuple(records),
-        group_closed=_group_closed(vmaps),
-    )
+    return SymmetryReport(instance_id=instance_id, records=records,
+                          group_closed=_group_closed(vmaps))

@@ -10,6 +10,7 @@ input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,10 +49,22 @@ class TheoremVerdict:
 
     hypothesis_holds: bool
     worst_face_residual: float
-    conclusion_holds: bool
-    violations: tuple[SymmetryRecord, ...]
-    classification: str
     report: SymmetryReport
+
+    @cached_property
+    def violations(self) -> tuple[SymmetryRecord, ...]:
+        """The edge-preserving symmetries that no isometry realizes."""
+        return tuple(r for r in self.report.records if r.edge_preserving and not r.realized)
+
+    @property
+    def conclusion_holds(self) -> bool:
+        return not self.violations
+
+    @property
+    def classification(self) -> str:
+        if self.hypothesis_holds:
+            return CLASS_APPLIES if self.conclusion_holds else CLASS_VIOLATION
+        return CLASS_FAILS_HOLDS if self.conclusion_holds else CLASS_FAILS_FAILS
 
     def to_dict(self) -> dict:
         return {
@@ -60,23 +73,9 @@ class TheoremVerdict:
             "hypothesis_holds": self.hypothesis_holds,
             "worst_face_residual": float(self.worst_face_residual),
             "conclusion_holds": self.conclusion_holds,
-            "counts": {
-                "total": self.report.total,
-                "edge_preserving": self.report.edge_preserving_count,
-                "realized": self.report.realized_count,
-            },
+            "counts": self.report.counts_doc(),
             "violations": [r.to_dict() for r in self.violations],
         }
-
-
-def _classify(hyp: bool, concl: bool) -> str:
-    if hyp and concl:
-        return CLASS_APPLIES
-    if hyp and not concl:
-        return CLASS_VIOLATION
-    if concl:
-        return CLASS_FAILS_HOLDS
-    return CLASS_FAILS_FAILS
 
 
 def _verdict(M: CombinatorialMap, coords: LabelledPoints, tol: Tolerance,
@@ -97,17 +96,8 @@ def _verdict(M: CombinatorialMap, coords: LabelledPoints, tol: Tolerance,
             worst = max(worst, float(np.fmax.reduce(fits[3])))  # fmax passes over NaN, as max does
     if failed:
         raise failed[min(failed)]  # the first failing face in face order
-    report = analyze(M, coords, tol, instance_id=instance_id)
-    violations = tuple(r for r in report.records if r.edge_preserving and not r.realized)
-    concl = not violations
-    return TheoremVerdict(
-        hypothesis_holds=hyp,
-        worst_face_residual=worst,
-        conclusion_holds=concl,
-        violations=violations,
-        classification=_classify(hyp, concl),
-        report=report,
-    )
+    return TheoremVerdict(hypothesis_holds=hyp, worst_face_residual=worst,
+                          report=analyze(M, coords, tol, instance_id=instance_id))
 
 
 def verify_polytope_theorem(P: IndexedPolytope, tol: Tolerance = DEFAULT_TOLERANCE,
@@ -181,14 +171,6 @@ class TwistedSquaresReport:
     len_twisted: float
     len_forced: float
     refuted: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "twisted_squares_report",
-            "len_twisted": float(self.len_twisted),
-            "len_forced": float(self.len_forced),
-            "refuted": self.refuted,
-        }
 
 
 def twisted_squares_check(s_out: float, s_in: float, alpha_deg: float,

@@ -768,7 +768,7 @@ def per_face_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> C
                 )
 
     cmap = CombinatorialMap(cycles, outer_face=outer)
-    return ConvexPlaneGraph(vertices=vertices, edges=tuple(sorted(edge_set)), map=cmap)
+    return ConvexPlaneGraph(vertices=vertices, map=cmap)
 
 
 # ``planegraph._Regions`` and the recursive ``planegraph._assemble``, with
@@ -876,7 +876,7 @@ def recursive_assemble(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
     src, dst = G.vertices.take(order), H.vertices.take(order)
     if np.linalg.norm(rho.apply(src) - dst, axis=1).max() > threshold:
         return None
-    direct, _ = best_fit_isometry(src, dst, allow_reflection=True)
+    direct, _ = best_fit_isometry(src, dst)
     gap = np.linalg.norm(rho.apply(src) - direct.apply(src), axis=1).max()
     if gap > threshold:
         raise AssertionError(

@@ -37,10 +37,16 @@ class TestAnalyze:
             "total": 48, "edge_preserving": 8, "realized": 8,
         }
 
-    def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "analyze", "missing.off")
-        assert code == 2
-        assert "missing.off" in err
+    def test_missing_file(self, capsys, tmp_path):
+        # both commands stream their inputs: the good file before the
+        # missing one is reported before the error ends the run
+        cube, missing = tmp_path / "cube.off", str(tmp_path / "missing.off")
+        cube.write_text(write_off(gallery("cube")))
+        for command in ("analyze", "verify"):
+            code, out, err = run(capsys, command, str(cube), missing)
+            assert code == 2
+            assert "missing.off" in err
+            assert json.loads(out)["instance"]["source"] == str(cube)
 
     def test_off_input(self, capsys, tmp_path):
         path = tmp_path / "cube.off"
@@ -103,6 +109,7 @@ class TestVerify:
         ("--random", "5", "--seed", "-1"),
         ("--gallery", "cube", "--tol", "inf"),
         ("--gallery", "cube", "--tol", "2e6"),
+        ("--gallery", "cube", "--tol", "1e-320"),  # every scaled coefficient underflows
     ])
     def test_bad_option_value_is_input_error(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)

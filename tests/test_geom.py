@@ -11,6 +11,7 @@ from edgesym.errors import (
     DegeneratePolygon,
     DimensionMismatch,
     DuplicateLabel,
+    InvalidTolerance,
     LengthMismatch,
     NonCoplanarPoints,
     NonFiniteCoordinate,
@@ -63,6 +64,19 @@ class TestTolerance:
         assert t.fit_eps == pytest.approx(1e-5)
         with pytest.raises(ValueError):
             Tolerance().scaled(0.0)
+
+    @pytest.mark.parametrize("field", ["abs_eps", "rel_eps", "fit_eps"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        with pytest.raises(InvalidTolerance):
+            Tolerance(**{field: bad})
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf,
+                                        1e-320,  # 1e-9 underflows to zero
+                                        1e300])  # 1e9 overflows to inf
+    def test_scaled_products_checked(self, factor):
+        with pytest.raises(InvalidTolerance):
+            Tolerance(abs_eps=1e9).scaled(factor)
 
 
 class TestDiameter:
@@ -174,13 +188,6 @@ class TestBestFitIsometry:
         assert rmsd < 1e-12
         assert iso.orientation == -1
 
-    def test_reflection_branch_disabled(self):
-        src = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.4, 1.7]], float)
-        dst = src * np.array([1, 1, -1.0])
-        iso, rmsd = best_fit_isometry(src, dst, allow_reflection=False)
-        assert iso.orientation == 1
-        assert rmsd > 0.1
-
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             best_fit_isometry(UNIT_CUBE, UNIT_CUBE[:-1])
@@ -238,11 +245,11 @@ def fit_cases(rng, d, n):
 
 class TestProcrustesKernel:
     """``best_fit_isometry`` is the one-fit caller of ``_procrustes``; both
-    must give the bits of the per-call fit in ``oracles``, row by row of a
-    stack, with and without reflections."""
+    must give the bits of the per-call fit in ``oracles`` with reflections
+    allowed, row by row of a stack."""
 
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("allow_reflection", [True, False])
+    @pytest.mark.parametrize("allow_reflection", [True])  # the oracle's mode
     def test_bit_identical_to_per_call_fit(self, d, allow_reflection):
         rng = np.random.default_rng([d, allow_reflection])
         for n in range(1, 41):
@@ -250,7 +257,7 @@ class TestProcrustesKernel:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 want = [per_call_best_fit_isometry(A, B, allow_reflection) for A, B in cases]
-                got = [best_fit_isometry(A, B, allow_reflection) for A, B in cases]
+                got = [best_fit_isometry(A, B) for A, B in cases]
             assert [w.category for w in caught] == [UnderdeterminedFitWarning] * (
                 2 * len(cases) if n < d else 0)
             for (iso, rmsd), (ref, ref_rmsd) in zip(got, want):
@@ -258,7 +265,7 @@ class TestProcrustesKernel:
                 assert iso.translation.tobytes() == ref.translation.tobytes()
                 assert np.float64(rmsd).tobytes() == np.float64(ref_rmsd).tobytes()
             A, stack = cases[0][0], np.array([B for _, B in cases])
-            linear, translation, rmsd = _procrustes(A, stack, allow_reflection)
+            linear, translation, rmsd = _procrustes(A, stack)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UnderdeterminedFitWarning)
                 for i, B in enumerate(stack):
@@ -269,15 +276,15 @@ class TestProcrustesKernel:
 
 
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("allow_reflection", [True, False])
+    @pytest.mark.parametrize("allow_reflection", [True])  # part of the seed
     def test_stacked_sets_bit_identical_to_one_fit_each(self, d, allow_reflection):
         rng = np.random.default_rng([d, allow_reflection, 1])
         for k in range(3, 9):  # face sizes
             cases = list(fit_cases(rng, d, k))
             A, B = np.array([A for A, _ in cases]), np.array([B for _, B in cases])
-            linear, translation, rmsd = _procrustes(A, B, allow_reflection)
+            linear, translation, rmsd = _procrustes(A, B)
             for i, (src, dst) in enumerate(cases):
-                ref, ref_rmsd = best_fit_isometry(src, dst, allow_reflection)
+                ref, ref_rmsd = best_fit_isometry(src, dst)
                 assert linear[i].tobytes() == ref.linear.tobytes()
                 assert translation[i].tobytes() == ref.translation.tobytes()
                 assert rmsd[i].tobytes() == np.float64(ref_rmsd).tobytes()

@@ -11,6 +11,7 @@ from edgesym.errors import (
     DuplicateLabel,
     EdgeCrossing,
     FaceNotOnBoundary,
+    InvalidPlaneGraph,
     NonConvexBoundedFace,
     NonSimpleOuterBoundary,
     NotCombinatoriallyEquivalent,
@@ -155,6 +156,17 @@ class TestBuild:
             build_plane_graph([("1", (0, 0, 0)), ("2", (1, 0, 0)), ("3", (0, 1, 0))],
                               [("1", "2")])
 
+    @pytest.mark.parametrize("points, edges, message", [
+        ([("1", (0, 0)), ("2", (1, 0))], [("1", "2")], "at least 3 vertices"),
+        ([("1", (0, 0)), ("2", (1, 0)), ("3", (0, 1))], [("1", "9")], "unknown vertex label"),
+        ([("1", (0, 0)), ("2", (1, 0)), ("3", (0, 1))], [("2", "2")], "self-loop"),
+    ])
+    def test_malformed_input_typed(self, points, edges, message):
+        # an EdgesymError, so the CLI exits 2, and still a ValueError
+        with pytest.raises(InvalidPlaneGraph, match=message) as info:
+            build_plane_graph(points, edges)
+        assert isinstance(info.value, ValueError)
+
 
 class TestBoundaryDecomposition:
     def test_two_triangles(self):
@@ -202,8 +214,9 @@ class TestBoundaryDecomposition:
 
     def test_outer_face_rejected(self):
         G = gallery("square")
-        with pytest.raises(ValueError):
-            boundary_decomposition(G, G.map.outer_face)
+        for face in (G.map.outer_face, -1, len(G.map.faces)):
+            with pytest.raises(InvalidPlaneGraph, match="not a bounded face"):
+                boundary_decomposition(G, face)
 
 
 class TestAssembleCongruence:

@@ -32,6 +32,7 @@ from .verify import (
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_VIOLATION = 3
+_QHULL_MAX_POINTS = 2**31 - 1  # Qhull counts its input points in a C int
 
 
 def _tolerance(args) -> Tolerance:
@@ -46,8 +47,8 @@ def _instances(args, tol):
         yield f"gallery:{args.gallery}", gallery(args.gallery)
         return
     if getattr(args, "random", None) is not None:
-        if args.random < 4:
-            raise EdgesymError(f"--random needs N >= 4, got {args.random}")
+        if not 4 <= args.random <= _QHULL_MAX_POINTS:
+            raise EdgesymError(f"--random needs 4 <= N <= {_QHULL_MAX_POINTS}, got {args.random}")
         seed = args.seed if args.seed is not None else 0
         if seed < 0:
             raise EdgesymError(f"--seed must be >= 0, got {seed}")

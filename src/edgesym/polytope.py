@@ -7,7 +7,10 @@ and label-respecting congruence.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +34,27 @@ __all__ = [
 ]
 
 
+def _qhull():
+    """scipy's Qhull extension, loaded from its own file: ``import scipy.spatial``
+    would load about 175 scipy modules (0.4 s) for it. ``cython_lapack``, loaded
+    first, keeps its cimport from running the ``scipy.linalg`` package. A later
+    ``import scipy.spatial`` reuses both, but does not bind them as attributes."""
+    if "scipy.spatial._qhull" in sys.modules:
+        return sys.modules["scipy.spatial._qhull"]
+    for name in ("scipy.linalg.cython_lapack", "scipy.spatial._qhull"):
+        if name in sys.modules:  # cython_lapack, after an import of scipy.linalg
+            continue
+        package = importlib.util.find_spec(name.rpartition(".")[0])
+        spec = importlib.machinery.PathFinder.find_spec(name, package.submodule_search_locations)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[name]
+            raise
+    return module
+
+
 @dataclass(frozen=True, eq=False)
 class IndexedPolytope:
     """Vertex coordinates keyed by index labels, as a LabelledPoints;
@@ -45,11 +69,10 @@ class IndexedPolytope:
     def hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``simplices``, ``neighbors`` and ``equations`` of the convex hull,
         computed once, like the diameter; a Qhull failure is NotFullDimensional."""
-        from scipy.spatial import ConvexHull, QhullError  # here: scipy.spatial loads slowly
-
+        qhull = _qhull()
         try:
-            hull = ConvexHull(self.vertices.array)
-        except QhullError as exc:
+            hull = qhull.ConvexHull(self.vertices.array)
+        except qhull.QhullError as exc:
             raise NotFullDimensional(f"Qhull failed: {str(exc).splitlines()[0]}") from exc
         return hull.simplices, hull.neighbors, hull.equations
 

@@ -19,7 +19,7 @@ from .gallery import twisted_squares
 from .geom import DEFAULT_TOLERANCE, LabelledPoints, Tolerance, _fit_circles
 from .maps import CombinatorialMap
 from .planegraph import ConvexPlaneGraph, build_plane_graph
-from .polytope import IndexedPolytope, build_polytope, face_map
+from .polytope import IndexedPolytope, _qhull, build_polytope, face_map
 from .symmetry import SymmetryRecord, SymmetryReport, analyze
 
 __all__ = [
@@ -142,12 +142,10 @@ def random_triangulation(n: int, seed: int,
     as a convex plane graph (all bounded faces triangles)."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    from scipy.spatial import Delaunay  # imported here: scipy.spatial loads slowly
-
     rng = np.random.default_rng(seed)
     for _ in range(100):
         pts = rng.random((n, 2))
-        tri = Delaunay(pts)
+        tri = _qhull().Delaunay(pts)
         edges = set()
         for simplex in tri.simplices:
             a, b, c = (int(x) for x in simplex)

@@ -10,6 +10,7 @@ import pytest
 import edgesym
 from edgesym.cli import main
 from edgesym.io import write_graph_json, write_off
+from edgesym.polytope import _qhull
 from edgesym import gallery
 
 
@@ -17,6 +18,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh(*argv):
+    """Run ``python *argv`` in a new interpreter that imports this edgesym."""
+    env = dict(os.environ, PYTHONPATH=str(Path(edgesym.__file__).parents[1]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def write_huge_cube(tmp_path):
+    """An OFF cube of side 1e150: squared lengths near 1e300 leave Qhull no
+    room for its roundoff."""
+    path = tmp_path / "huge_cube.off"
+    corners = [(x, y, z) for x in (0, 1e150) for y in (0, 1e150) for z in (0, 1e150)]
+    path.write_text("OFF\n8 0 0\n" + "".join(f"{x} {y} {z}\n" for x, y, z in corners))
+    return path
 
 
 class TestAnalyze:
@@ -107,6 +124,8 @@ class TestVerify:
         ("--gallery", "cube", "--tol", "-1"),
         ("--random", "3"),
         ("--random", "5", "--seed", "-1"),
+        ("--random", str(2**31)),  # past Qhull's C int point count; nothing is allocated
+        ("--random", "100000000000000000000"),  # past numpy's largest array dimension
         ("--gallery", "cube", "--tol", "inf"),
         ("--gallery", "cube", "--tol", "2e6"),
         ("--gallery", "cube", "--tol", "1e-320"),  # every scaled coefficient underflows
@@ -168,14 +187,18 @@ class TestVerify:
         assert err == f"error: {path}:7: a face needs 3 or more vertices: '0'\n"
 
     def test_qhull_failure_is_input_error(self, capsys, tmp_path):
-        # squared lengths near 1e300 leave Qhull no room for its roundoff
-        path = tmp_path / "huge_cube.off"
-        corners = [(x, y, z) for x in (0, 1e150) for y in (0, 1e150) for z in (0, 1e150)]
-        path.write_text("OFF\n8 0 0\n" + "".join(f"{x} {y} {z}\n" for x, y, z in corners))
-        code, out, err = run(capsys, "verify", str(path))
+        code, out, err = run(capsys, "verify", str(write_huge_cube(tmp_path)))
         assert code == 2
         assert out == ""
         assert err.startswith("error: Qhull failed: QH") and err.count("\n") == 1
+
+    def test_qhull_failure_is_input_error_in_a_fresh_process(self, tmp_path):
+        # here the Qhull extension is loaded by edgesym, not by scipy.spatial
+        done = fresh("-m", "edgesym.cli", "verify", str(write_huge_cube(tmp_path)))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: Qhull failed: QH6154 ")
+        assert done.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("k", [520, 600])
     def test_overflowing_coordinates_are_input_error(self, tmp_path, k):
@@ -185,9 +208,7 @@ class TestVerify:
         points = gallery("oblique_parallelepiped").vertices.array * 2.0**k
         path.write_text(f"OFF\n{len(points)} 0 0\n"
                         + "".join(" ".join(map(repr, p.tolist())) + "\n" for p in points))
-        env = dict(os.environ, PYTHONPATH=str(Path(edgesym.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-m", "edgesym.cli", "verify", str(path)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        done = fresh("-m", "edgesym.cli", "verify", str(path))
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and "squared distances overflow" in done.stderr
@@ -241,13 +262,70 @@ class TestReconstruct:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """scipy.spatial loads slowly, so only the functions that need a hull
-    or a Delaunay triangulation import it."""
-    probe = ("import sys, edgesym.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          check=True)
+    """scipy loads slowly, so only the functions that need a hull or a
+    Delaunay triangulation load any of it."""
+    done = fresh("-c", "import sys, edgesym.cli; "
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert done.stdout == "[]\n"
+
+
+def test_hulls_load_only_the_qhull_extension(tmp_path):
+    # scipy.spatial's package __init__ would load scipy.linalg, scipy.sparse
+    # and about 175 scipy modules; a later import of it reuses the extension
+    path = tmp_path / "cube.off"
+    path.write_text(write_off(gallery("cube")))
+    probe = f"""
+import contextlib, io, json, sys
+from edgesym.cli import main
+from edgesym.verify import random_triangulation
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify", {str(path)!r}]), main(["verify", "--random", "40"])]
+random_triangulation(20, 1)
+loaded = [m for m in ("scipy.spatial._qhull", "scipy.spatial", "scipy.linalg", "scipy.sparse")
+          if m in sys.modules]
+used = sys.modules["scipy.spatial._qhull"]
+import scipy.spatial
+same = [getattr(scipy.spatial, name) is getattr(used, name)
+        for name in ("ConvexHull", "Delaunay", "QhullError")]
+print(json.dumps([codes, loaded, same]))
+"""
+    done = fresh("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0, 0], ["scipy.spatial._qhull"], [True, True, True]]
+
+
+def test_failed_qhull_load_leaves_no_module_behind():
+    # as importlib does, so a later call loads the extension afresh rather
+    # than return a module whose code never ran
+    probe = """
+import importlib.machinery, json, sys
+from edgesym.polytope import _qhull
+real = importlib.machinery.ExtensionFileLoader.exec_module
+def fail(loader, module):
+    if module.__name__ == "scipy.spatial._qhull":
+        raise ImportError("no extension")
+    real(loader, module)
+importlib.machinery.ExtensionFileLoader.exec_module = fail
+try:
+    _qhull()
+except ImportError as exc:
+    error = str(exc)
+left = [m for m in ("scipy.linalg.cython_lapack", "scipy.spatial._qhull") if m in sys.modules]
+importlib.machinery.ExtensionFileLoader.exec_module = real
+print(json.dumps([error, left, hasattr(_qhull(), "ConvexHull")]))
+"""
+    done = fresh("-c", probe)
+    assert json.loads(done.stdout) == ["no extension", ["scipy.linalg.cython_lapack"], True]
+
+
+def test_report_bytes_do_not_depend_on_how_qhull_was_loaded(tmp_path):
+    path = tmp_path / "dodecahedron.off"
+    path.write_text(write_off(gallery("dodecahedron")))
+    lean = fresh("-m", "edgesym.cli", "verify", str(path))
+    full = fresh("-c", "import sys, scipy.spatial; from edgesym.cli import main; "
+                       f"sys.exit(main(['verify', {str(path)!r}]))")
+    assert lean.returncode == full.returncode == 0
+    assert lean.stdout == full.stdout != ""
 
 
 class TestDeterminism:
@@ -267,16 +345,15 @@ class TestDeterminism:
 @pytest.fixture
 def hull_count(monkeypatch):
     """The number of scipy ConvexHull objects built since the fixture ran."""
-    import scipy.spatial
-
+    qhull = _qhull()
     built = []
-    real = scipy.spatial.ConvexHull
+    real = qhull.ConvexHull
 
     def counting(*args, **kwargs):
         built.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+    monkeypatch.setattr(qhull, "ConvexHull", counting)
     return built
 
 

@@ -13,7 +13,7 @@ from edgesym.errors import (
 )
 from edgesym.geom import DEFAULT_TOLERANCE, Tolerance
 from edgesym.maps import combinatorially_equivalent, edge_key
-from edgesym.polytope import IndexedPolytope, build_polytope, congruent, face_map
+from edgesym.polytope import IndexedPolytope, _qhull, build_polytope, congruent, face_map
 from edgesym.verify import random_inscribed_polytope, verify_polytope_theorem
 from oracles import oracle_cycle_key, square_isometries, union_find_face_map
 
@@ -225,10 +225,9 @@ class TestCongruent:
 
 
 def test_build_and_verify_share_one_hull(monkeypatch):
-    import scipy.spatial
-
     points = list(gallery("dodecahedron").vertices.items())
-    built, real = [], scipy.spatial.ConvexHull
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", lambda *a: built.append(a) or real(*a))
+    qhull = _qhull()
+    built, real = [], qhull.ConvexHull
+    monkeypatch.setattr(qhull, "ConvexHull", lambda *a: built.append(a) or real(*a))
     verify_polytope_theorem(build_polytope(points))
     assert len(built) == 1

@@ -13,12 +13,7 @@ import sys
 
 from .errors import EdgesymError
 from .gallery import gallery
-from .geom import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
-    circumradius_from_sides,
-    reconstruct_inscribed_polygon,
-)
+from .geom import DEFAULT_TOLERANCE, Tolerance, reconstruct_inscribed_polygon
 from .io import canonical_json, load_instance, write_report
 from .polytope import IndexedPolytope, face_map
 from .symmetry import analyze
@@ -129,8 +124,8 @@ def cmd_reconstruct(args) -> int:
         sides = [float(s) for s in args.sides.split(",") if s.strip()]
     except ValueError:
         raise EdgesymError(f"--sides must be a comma-separated number list, got {args.sides!r}")
-    radius = circumradius_from_sides(sides)
     polygon = reconstruct_inscribed_polygon(sides)
+    radius = float(polygon[0, 0])  # the first vertex is (r, 0)
     if args.format == "json":
         doc = {
             "circumradius": radius,

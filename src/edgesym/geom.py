@@ -119,6 +119,22 @@ def diameter_of(points) -> float:
     return float(_diameters(arr[None])[0]) if arr.ndim == 2 and len(arr) >= 2 else 0.0
 
 
+def _diameter_bracket(arr: np.ndarray) -> tuple[float, float]:
+    """Bounds L <= ``diameter_of(arr)`` <= U in O(n): L the longest pair
+    distance met by two farthest-point sweeps, U the bounding-box diagonal.
+    Both square and add the columns as ``_diameters`` does, and every step
+    rounds monotonically, so the bounds hold in floats."""
+    def squares(rows, p):
+        return sum((rows[:, c] - p[c]) ** 2 for c in range(arr.shape[1]))
+
+    far = 0
+    for _ in range(2):
+        sq = squares(arr, arr[far])
+        far = int(np.argmax(sq))
+    box = squares(arr.max(axis=0)[None], arr.min(axis=0))
+    return float(np.sqrt(sq[far])), float(np.sqrt(box[0]))
+
+
 def _diameters(S: np.ndarray) -> np.ndarray:
     """``diameter_of`` of each point set of a stack (F, k, d), in blocks of
     about _BLOCK elements: of whole point sets, and of rows within one. The

@@ -176,6 +176,14 @@ class CombinatorialMap:
         self.edge_ends = np.stack((lo, hi), axis=1)[by_edge[first]]
         if n_v - len(first) + n_faces != 2:
             raise InvalidMap(f"Euler relation fails: V={n_v} E={len(first)} F={n_faces}")
+        # min-label propagation with pointer jumping over the faces of each edge
+        f, g, label = face[first], face[first + 1], np.arange(n_faces)
+        while (label[f] != label[g]).any():
+            np.minimum.at(label, np.maximum(label[f], label[g]), np.minimum(label[f], label[g]))
+            label = label[label]
+        if label.any():
+            raise InvalidMap("faces are not connected: no chain of shared edges joins "
+                             f"{self.faces[0]} and {self.faces[np.flatnonzero(label)[0]]}")
 
         # flags 2j and 2j+1 lie on edge j, at its tail and at its head; s1
         # joins the head flag to the tail flag of the next edge of the face,

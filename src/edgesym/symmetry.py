@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import IndexSetMismatch, PermutationNotASymmetry
 from .geom import (DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, _as_points,
-                   _procrustes, _row_blocks)
+                   _diameter_bracket, _procrustes, _row_blocks)
 from .maps import CombinatorialMap
 
 __all__ = [
@@ -134,8 +134,8 @@ def _flag_colours(M: CombinatorialMap, seed: int) -> np.ndarray:
 
 
 def _flag_tree(M: CombinatorialMap, seed: int):
-    """Breadth-first tree of the flag graph from the seed; None if the flag
-    graph is not connected.
+    """Breadth-first tree of the flag graph, which is connected, from the
+    seed.
 
     Returns the levels of the tree, each as arrays (flags, parents,
     involution) with flags = S[involution, parents] for S = (s0, s1, s2),
@@ -160,25 +160,21 @@ def _flag_tree(M: CombinatorialMap, seed: int):
         outside[involution, np.minimum(children, parents)] = False
         seen[children] = True
         frontier = children
-    if not seen.all():
-        return None
     involution, flags = np.nonzero(outside)
     return levels, (flags, involution)
 
 
 def _automorphisms(M: CombinatorialMap) -> tuple[np.ndarray, np.ndarray]:
     """Vertex and face image arrays, one row per automorphism of the map,
-    sorted by vertex images; see `enumerate_symmetries`."""
-    n_v, n_f = len(M.vertices), len(M.face_sizes)
+    sorted by vertex images; see `enumerate_symmetries`. Colours are
+    refined first: a seed alone in its cell gives the identity alone,
+    without building the flag tree."""
     seed = int(np.argmax(M.flag_face != M.outer_face)) if M.is_graph else 0
-    tree = _flag_tree(M, seed)
-    if tree is None:
-        return np.empty((0, n_v), dtype=np.intp), np.empty((0, n_f), dtype=np.intp)
     colours = _flag_colours(M, seed)
     candidates = np.flatnonzero(colours == colours[seed])
     if len(candidates) == 1:
-        return np.arange(n_v)[None], np.arange(n_f)[None]
-    levels, (loose, loose_involution) = tree
+        return np.arange(len(M.vertices))[None], np.arange(len(M.face_sizes))[None]
+    levels, (loose, loose_involution) = _flag_tree(M, seed)
     S = np.stack((M.s0, M.s1, M.s2))
     vertex_flag = np.unique(M.flag_vertex, return_index=True)[1]
     face_flag = np.unique(M.flag_face, return_index=True)[1]
@@ -209,12 +205,13 @@ def enumerate_symmetries(M: CombinatorialMap) -> list[VertexPermutation]:
 
     An automorphism commutes with the flag involutions, so the image of one
     seed flag forces it (orientation-reversing ones included, since the
-    involutions carry no orientation). Colour refinement on the flag graph
+    involutions carry no orientation) on the connected flag graph that
+    `CombinatorialMap` guarantees. Colour refinement on the flag graph
     keeps as candidate images only the flags that share the seed's colour;
-    if the seed is alone in its cell the group is the identity. Otherwise
-    all candidates are replayed together along the breadth-first tree of
-    the flag graph, and those whose flag maps commute with s0, s1 and s2
-    are kept.
+    if the seed is alone in its cell the group is the identity, and no
+    flag tree is built. Otherwise all candidates are replayed together
+    along the breadth-first tree of the flag graph, and those whose flag
+    maps commute with s0, s1 and s2 are kept.
     Plane-graph automorphisms must fix the outer face. Output is sorted by
     permutation word.
     """
@@ -222,22 +219,33 @@ def enumerate_symmetries(M: CombinatorialMap) -> list[VertexPermutation]:
 
 
 class _Instance:
-    """Point array, diameter and edge lengths of one instance, indexed like
+    """Point array and edge lengths of one instance, indexed like
     ``M.vertices``, whose labels the ``coords`` mapping must carry exactly;
-    every symmetry of the instance is classified against it."""
+    every symmetry of the instance is classified against it, at both ends
+    of an O(n) bracket L <= d <= U of the diameter d, and at the exact,
+    cached ``coords.diameter`` only where the two disagree."""
 
     def __init__(self, M: CombinatorialMap, coords, tol: Tolerance):
         self.M, self.tol = M, tol
-        coords = LabelledPoints.of(coords)
+        self.coords = coords = LabelledPoints.of(coords)
         if set(coords.index) != set(M.vertices):
             unshared = sorted(set(coords.index) ^ set(M.vertices))
             raise IndexSetMismatch(f"labels {unshared} are not shared by coordinates and map")
         self.points = coords.take(M.vertices)
-        self.diameter = coords.diameter
+        self.bracket = _diameter_bracket(self.points)
         u, v = M.edge_ends.T
         self.lengths = np.linalg.norm(self.points[u] - self.points[v], axis=1)
         # sorted, since M.edges and M.vertices are
         self.edge_codes = u * len(M.vertices) + v
+
+    def _decide(self, rule) -> np.ndarray:
+        """``rule(d)``, a boolean array monotone in d, at the diameter: where
+        it agrees at L and U, it holds at every d between them."""
+        low, high = map(rule, self.bracket)
+        if np.array_equal(low, high):
+            return low
+        self.bracket = (self.coords.diameter,) * 2  # later decisions take it too
+        return rule(self.bracket[0])
 
     def image_row(self, sigma: VertexPermutation) -> np.ndarray:
         if sigma._labels != self.M.vertices:
@@ -256,7 +264,6 @@ class _Instance:
         ``fit_eps`` times the diameter).
         """
         n, n_e = len(self.points), len(self.lengths)
-        eps = self.tol.length_eps(self.diameter)
         edge_ok, offending = [], []
         for block in _row_blocks(len(images), n_e):
             ends = images[block][:, self.M.edge_ends]
@@ -264,7 +271,8 @@ class _Instance:
             codes = np.minimum(a, b) * n + np.maximum(a, b)
             hit = np.minimum(np.searchsorted(self.edge_codes, codes), n_e - 1)
             is_edge = self.edge_codes[hit] == codes
-            bad = ~is_edge | (np.abs(self.lengths - self.lengths[hit]) > eps)
+            gap = np.abs(self.lengths - self.lengths[hit])
+            bad = ~is_edge | self._decide(lambda d: gap > self.tol.length_eps(d))
             rows, first = np.arange(len(bad)), bad.argmax(axis=1)
             edge_ok.append(~bad[rows, first])
             offending.append(np.where(bad[rows, first] & ~is_edge[rows, first], first, -1))
@@ -273,7 +281,7 @@ class _Instance:
         fits = [_procrustes(A, A[images[block]]) for block in _row_blocks(len(images), A.size)]
         linear, translation, rmsd = map(np.concatenate, zip(*fits))
         return edge_ok, offending, (linear, translation, rmsd,
-                                    rmsd <= self.tol.fit_threshold(self.diameter))
+                                    self._decide(lambda d: rmsd <= self.tol.fit_threshold(d)))
 
 
 def is_edge_preserving(M: CombinatorialMap, coords, sigma: VertexPermutation,

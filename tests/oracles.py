@@ -29,7 +29,8 @@ from edgesym.errors import (
     NotCombinatoriallyEquivalent,
 )
 from edgesym.geom import (DEFAULT_TOLERANCE, CircleFit, Isometry, LabelledPoints, Tolerance,
-                          UnderdeterminedFitWarning, _as_points, _row_blocks, best_fit_isometry)
+                          UnderdeterminedFitWarning, _as_points, _procrustes, _row_blocks,
+                          best_fit_isometry)
 from edgesym.maps import CombinatorialMap, Edge, combinatorially_equivalent
 from edgesym.planegraph import _MIN_TURN, ConvexPlaneGraph, _check_crossings
 
@@ -128,6 +129,36 @@ def one_pass_diameter(points):
         return 0.0
     diff = arr[:, None, :] - arr[None, :, :]
     return float(np.sqrt((diff * diff).sum(axis=-1)).max())
+
+
+def classify_values(M, points, images):
+    """What ``symmetry._Instance.classify`` compares for each row of vertex
+    images (``points`` indexed like ``M.vertices``): whether each edge maps
+    to an edge, the gap between the edge's length and that of the edge its
+    ends map to, and the RMS residual of the best-fit isometry."""
+    n = len(points)
+    u, v = M.edge_ends.T
+    lengths = np.linalg.norm(points[u] - points[v], axis=1)
+    edge_codes = u * n + v
+    a, b = images[:, u], images[:, v]
+    codes = np.minimum(a, b) * n + np.maximum(a, b)
+    hit = np.minimum(np.searchsorted(edge_codes, codes), len(edge_codes) - 1)
+    gap = np.abs(lengths - lengths[hit])
+    return edge_codes[hit] == codes, gap, _procrustes(points, points[images])[2]
+
+
+def exact_diameter_classify(M, coords, images, tol=DEFAULT_TOLERANCE):
+    """``edge_ok``, ``offending`` and ``realized`` of each row of vertex
+    images by the rule ``symmetry._Instance.classify`` applied before it
+    bracketed the diameter, kept as its reference: both thresholds are
+    taken at the exact diameter, here ``one_pass_diameter``."""
+    points = LabelledPoints.of(coords).take(M.vertices)
+    diam = one_pass_diameter(points)
+    is_edge, gap, rmsd = classify_values(M, points, images)
+    bad = ~is_edge | (gap > tol.length_eps(diam))
+    rows, first = np.arange(len(bad)), bad.argmax(axis=1)
+    offending = np.where(bad[rows, first] & ~is_edge[rows, first], first, -1)
+    return ~bad[rows, first], offending, rmsd <= tol.fit_threshold(diam)
 
 
 def edges_of_faces(faces):
@@ -536,6 +567,19 @@ class ReferenceMap:
                 f"Euler relation fails: V={len(self.vertices)} E={len(self.edges)} "
                 f"F={len(self.faces)}"
             )
+        # depth-first search from the first face across shared edges
+        reached, stack = {0}, [0]
+        while stack:
+            cyc = self.faces[stack.pop()]
+            for t in range(len(cyc)):
+                for fi in edge_faces[edge_key(cyc[t], cyc[(t + 1) % len(cyc)])]:
+                    if fi not in reached:
+                        reached.add(fi)
+                        stack.append(fi)
+        if len(reached) < len(self.faces):
+            missed = min(set(range(len(self.faces))) - reached)
+            raise ValueError("faces are not connected: no chain of shared edges joins "
+                             f"{self.faces[0]} and {self.faces[missed]}")
 
         index = {v: i for i, v in enumerate(self.vertices)}
         # Flags 2j and 2j+1 lie on the j-th edge of the face cycles read in

@@ -9,6 +9,7 @@ import pytest
 
 import edgesym
 from edgesym.cli import main
+from edgesym.geom import circumradius_from_sides
 from edgesym.io import write_graph_json, write_off
 from edgesym.polytope import _qhull
 from edgesym import gallery
@@ -243,6 +244,15 @@ class TestReconstruct:
         code, out, _ = run(capsys, "reconstruct", "--sides", "1,1,1,1")
         doc = json.loads(out)
         assert doc["circumradius"] == pytest.approx(0.70711, abs=1e-5)
+
+    @pytest.mark.parametrize("sides", ["3,4,5", "1,1,1,1", "1,2,2.9", "0.3,7,7,1e-3,2.5"])
+    def test_radius_is_circumradius_from_sides(self, capsys, sides):
+        # read off the polygon's first vertex (r, 0), not solved a second time
+        radius = circumradius_from_sides([float(s) for s in sides.split(",")])
+        _, out, _ = run(capsys, "reconstruct", "--sides", sides)
+        assert json.loads(out)["circumradius"] == radius
+        _, out, _ = run(capsys, "reconstruct", "--sides", sides, "--format", "text")
+        assert out.splitlines()[0] == f"circumradius: {radius:.12g}"
 
     def test_polygon_inequality(self, capsys):
         code, _, err = run(capsys, "reconstruct", "--sides", "10,1,1")

@@ -186,6 +186,11 @@ def test_map_matches_the_per_face_construction(name):
 
 
 TETRA = [("1", "2", "3"), ("1", "3", "4"), ("1", "4", "2"), ("2", "4", "3")]
+# a tetrahedron beside the 7-vertex torus: V - E + F = 11 - 27 + 18 = 2,
+# every edge in two faces, and no edge shared between the two parts
+TETRA_AND_TORUS = ([("a", "b", "c"), ("a", "c", "d"), ("a", "d", "b"), ("b", "d", "c")]
+                   + [(f"t{i}", f"t{(i + 1) % 7}", f"t{(i + 3) % 7}") for i in range(7)]
+                   + [(f"t{i}", f"t{(i + 3) % 7}", f"t{(i + 2) % 7}") for i in range(7)])
 
 
 @pytest.mark.parametrize("faces, outer", [
@@ -208,6 +213,11 @@ TETRA = [("1", "2", "3"), ("1", "3", "4"), ("1", "4", "2"), ("2", "4", "3")]
     ([("1", "2", "3", "4"), ("1", "2", "3", "4")], None),  # one edge twice in one direction
     ([("1", "2", "3", "4"), ("2", "3", "4", "1")], 1),  # equal faces keep their input order
     ([("1", "2", "3", "4"), ("1", "2", "3")], None),  # a proper prefix sorts first
+    (TETRA_AND_TORUS, None),
+    # two tetrahedra sharing vertex 1 and the torus sharing vertex 2 with
+    # the first: one vertex graph, V - E + F = 13 - 33 + 22 = 2, three parts
+    (TETRA + [tuple({"2": "5", "3": "6", "4": "7"}.get(v, v) for v in f) for f in TETRA]
+     + [tuple("2" if v == "t0" else v for v in f) for f in TETRA_AND_TORUS[4:]], None),
 ])
 def test_malformed_and_mixed_label_inputs(faces, outer):
     assert_same_outcome(faces, outer)
@@ -272,6 +282,18 @@ def test_cli_exits_2_on_an_invalid_map(monkeypatch, capsys):
     assert cli.main(["analyze", "--gallery", "cube"]) == cli.EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: edge ('1', '2') lies in faces [0]") and err.count("\n") == 1
+
+
+def test_disconnected_faces_are_an_invalid_map(monkeypatch, capsys):
+    # the Euler relation holds, so without the connectivity check the map
+    # would have no automorphism at all, not even the identity
+    with pytest.raises(InvalidMap) as info:
+        CombinatorialMap(TETRA_AND_TORUS)
+    assert str(info.value) == ("faces are not connected: no chain of shared edges joins "
+                               "('a', 'b', 'c') and ('t0', 't1', 't3')")
+    monkeypatch.setattr(cli, "face_map", lambda P, tol: CombinatorialMap(TETRA_AND_TORUS))
+    assert cli.main(["analyze", "--gallery", "cube"]) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 @settings(max_examples=300, deadline=None)

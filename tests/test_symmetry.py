@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from edgesym import gallery, symmetry
+from edgesym import DEFAULT_TOLERANCE, gallery, geom, symmetry
 from edgesym.gallery import gallery_names
 from edgesym.errors import IndexSetMismatch, NonFiniteCoordinate, PermutationNotASymmetry
+from edgesym.geom import LabelledPoints, _diameter_bracket, diameter_of
 from edgesym.maps import edge_key
 from edgesym.planegraph import ConvexPlaneGraph
-from edgesym.polytope import face_map
+from edgesym.polytope import build_polytope, face_map
 from edgesym.symmetry import (
     VertexPermutation,
     _automorphisms,
@@ -20,8 +21,10 @@ from edgesym.symmetry import (
     is_edge_preserving,
     realize,
 )
-from edgesym.verify import random_inscribed_polytope, random_triangulation
-from oracles import brute_force_edge_preserving, brute_force_symmetries
+from edgesym.verify import (random_inscribed_polytope, random_triangulation, verify_graph_theorem,
+                            verify_polytope_theorem)
+from oracles import (brute_force_edge_preserving, brute_force_symmetries, classify_values,
+                     exact_diameter_classify)
 
 
 def words(perms):
@@ -385,3 +388,111 @@ class TestAnalyze:
         for a in plus:
             for b in plus:
                 assert compose(a, b) in plus_words
+
+
+def antipodal(n, seed, axes=(1.0, 1.0, 1.0)):
+    """n seeded points on the ellipsoid with these semi-axes and their
+    antipodes: a random instance whose symmetries are the identity and the
+    central inversion."""
+    x = np.random.default_rng(seed).normal(size=(n, 3))
+    x *= np.array(axes) / np.linalg.norm(x, axis=1)[:, None]
+    return build_polytope([(str(i), p) for i, p in enumerate(np.concatenate([x, -x]))])
+
+
+class TestDiameterBracket:
+    """classify decides each threshold at both ends of an O(n) bracket of
+    the diameter, and computes the exact diameter only where they differ."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bracket_holds_in_floats(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(int(rng.integers(2, 40)), int(rng.integers(2, 4))))
+        pts *= 2.0 ** int(rng.integers(-60, 60)) * rng.random(pts.shape[1])
+        low, high = _diameter_bracket(pts)
+        assert low <= diameter_of(pts) <= high
+
+    @pytest.mark.parametrize("name", ["cube", "box_1_2_3", "octahedron"])
+    def test_bracket_is_tight_where_the_box_diagonal_is_a_pair(self, name):
+        # a box's bounding-box diagonal is its longest pair distance, with
+        # the same arithmetic, so all three floats are equal; the sweeps meet
+        # the octahedron's diameter, but its box diagonal is longer
+        pts = gallery(name).vertices.array
+        low, high = _diameter_bracket(pts)
+        assert low == diameter_of(pts) and (high == low) == (name != "octahedron")
+
+    @pytest.mark.parametrize("name", ["octahedron", "icosahedron", "dodecahedron", "cube",
+                                      "box_1_2_3", "prism:5", "antiprism:7", "antipodal:1",
+                                      "antipodal:2", "ellipsoid:3", "ellipsoid:4", "sphere:1",
+                                      "sphere:2"])
+    def test_decisions_match_the_exact_diameter(self, name, monkeypatch):
+        # one vertex moved by k eps diam for k across 1, with eps the length
+        # and the fit coefficient: compared values fall inside, below and
+        # above the band between the thresholds at the two bracket ends
+        kind, _, arg = name.partition(":")
+        P = (antipodal(20, int(arg)) if kind == "antipodal"
+             else antipodal(20, int(arg), (1.0, 1.3, 0.7)) if kind == "ellipsoid"
+             else random_inscribed_polytope(200, int(arg)) if kind == "sphere" else gallery(name))
+        M, tol = face_map(P), DEFAULT_TOLERANCE
+        images = symmetry._automorphisms(M)[0]
+        pts = P.vertices.take(M.vertices)
+        direction = np.random.default_rng(7).normal(size=3)
+        direction *= diameter_of(pts) / np.linalg.norm(direction)
+        calls = []
+        monkeypatch.setattr(geom, "diameter_of", lambda p: calls.append(1) or diameter_of(p))
+        banded, flipped = [], []
+        for eps in (tol.length_eps(1.0), tol.fit_threshold(1.0)):
+            for k in np.geomspace(0.25, 8, 11):
+                moved = pts.copy()
+                moved[0] += k * eps * direction
+                coords = LabelledPoints(zip(M.vertices, moved))
+                inst = symmetry._Instance(M, coords, tol)
+                low, high = inst.bracket
+                _, gap, rmsd = classify_values(M, moved, images)
+                in_band = bool(((gap > tol.length_eps(low)) & (gap <= tol.length_eps(high))).any()
+                               or ((rmsd > tol.fit_threshold(low))
+                                   & (rmsd <= tol.fit_threshold(high))).any())
+                del calls[:]
+                edge_ok, offending, (*_, realized) = inst.classify(images)
+                want = exact_diameter_classify(M, coords, images, tol)
+                for got, expected in zip((edge_ok, offending, realized), want):
+                    assert np.array_equal(got, expected), (name, k)
+                assert len(calls) == in_band, (name, k)
+                banded.append(in_band)
+                # where L < d, the thresholds at L alone decide some values wrongly
+                d = diameter_of(moved)
+                flipped.append(bool(((gap > tol.length_eps(low)) != (gap > tol.length_eps(d))).any()
+                                    or ((rmsd <= tol.fit_threshold(low))
+                                        != (rmsd <= tol.fit_threshold(d))).any()))
+        # a box's bracket is one float, and a generic sphere's one symmetry
+        # compares zero gaps and residuals
+        assert any(banded) == (kind not in ("sphere", "cube", "box_1_2_3")) and not all(banded)
+        assert any(flipped) == (kind == "ellipsoid")
+
+
+def fails_if_called(name):
+    def call(*args):
+        raise RuntimeError(f"{name} was called")
+    return call
+
+
+class TestGenericWork:
+    """Work counts that pin the generic path's savings without timing."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generic_sphere_needs_neither_diameter_nor_flag_tree(self, seed, monkeypatch):
+        monkeypatch.setattr(geom, "diameter_of", fails_if_called("diameter_of"))
+        monkeypatch.setattr(symmetry, "_flag_tree", fails_if_called("_flag_tree"))
+        verdict = verify_polytope_theorem(random_inscribed_polytope(500, seed))
+        assert verdict.report.counts == (1, 1, 1) and verdict.conclusion_holds
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_triangulation_needs_no_flag_tree(self, seed, monkeypatch):
+        monkeypatch.setattr(symmetry, "_flag_tree", fails_if_called("_flag_tree"))
+        assert verify_graph_theorem(random_triangulation(80, seed)).report.total == 1
+
+    def test_symmetric_instance_builds_the_flag_tree(self, monkeypatch):
+        calls = []
+        tree = symmetry._flag_tree
+        monkeypatch.setattr(symmetry, "_flag_tree", lambda M, seed: calls.append(1) or tree(M, seed))
+        assert verify_polytope_theorem(gallery("prism:6")).report.total == 24
+        assert calls == [1]

@@ -5,20 +5,28 @@ orbits of Ih), and seeded random instances through the theorem verifier
 and print a classification table. Each instance is also verified as
 power-of-two copies, 2^k times its coordinates (k = ±30, ±200 for
 polytopes, ±30, ±400 for plane graphs), which must get its classification
-and counts: every threshold is a multiple of the diameter.
+and counts: every threshold is a multiple of the diameter. The gallery
+instances without parameters are also verified as noisy copies, every
+coordinate moved by seeded Gaussian noise of scale 1e-9 to 1e-6 (2 seeds
+each), where an edge length can change by more than the length threshold
+while a fit stays within the fit threshold.
 
-Exits nonzero if any instance raises the falsification alarm (hypothesis
-holds but some edge-preserving symmetry is unrealized), or if a scaled
-copy is classified or counted differently.
+Exits nonzero if any instance or noisy copy raises the falsification
+alarm (hypothesis holds but some edge-preserving symmetry is unrealized),
+or if a scaled copy is classified or counted differently. A noisy copy
+may end in an input error, which is counted.
 """
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from edgesym import build_polytope, gallery
+from edgesym.errors import EdgesymError
+from edgesym.gallery import gallery_names
 from edgesym.planegraph import build_plane_graph
 from edgesym.verify import (
     CLASS_VIOLATION,
@@ -29,7 +37,8 @@ from edgesym.verify import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from oracles import orbit_points  # noqa: E402  (the test oracles' group generators)
+# the test oracles' group generators and noise
+from oracles import NOISE_EPS, noisy_vertices, orbit_points  # noqa: E402
 
 POLYTOPES = [
     "cube", "box_1_2_3", "oblique_parallelepiped", "tetrahedron", "octahedron",
@@ -69,7 +78,8 @@ def main() -> int:
         graphs.append((f"random_triangulation:{n}:{i}",
                        random_triangulation(n, seed=args.seed * 1000 + 500 + i)))
 
-    rows, mismatches, copies = [], [], 0
+    fixed = {name for name in gallery_names() if ":" not in name}
+    rows, mismatches, copies, noisy, errors = [], [], 0, [], 0
     for instances, verify, rebuild, scales in (
         (polytopes, verify_polytope_theorem, lambda X, pts: build_polytope(pts), POLYTOPE_SCALES),
         (graphs, verify_graph_theorem, lambda X, pts: build_plane_graph(pts, X.edges),
@@ -86,6 +96,15 @@ def main() -> int:
                         != (verdict.classification, verdict.report.counts)):
                     mismatches.append(f"{name} x 2^{k}: {copy.classification} "
                                       f"{copy.report.counts}")
+            if name not in fixed:
+                continue
+            for eps, seed in itertools.product(NOISE_EPS, (0, 1)):
+                try:
+                    copy = verify(rebuild(X, noisy_vertices(X, eps, seed)), instance_id=name)
+                except EdgesymError:
+                    errors += 1
+                    continue
+                noisy.append((f"{name} + noise {eps:g} seed {seed}", copy))
 
     width = max(len(name) for name, _ in rows)
     alarms = len(mismatches)
@@ -93,11 +112,14 @@ def main() -> int:
         c = verdict.report.counts
         print(f"{name:<{width}}  {c[0]:>5} sym  {c[1]:>5} edge-pres  {c[2]:>5} realized  "
               f"{verdict.classification}")
+    for name, verdict in rows + noisy:
         if verdict.classification == CLASS_VIOLATION:
+            print(f"alarm: {name}")
             alarms += 1
     for line in mismatches:
         print(f"scale mismatch: {line}")
-    print(f"\n{len(rows)} instances, {copies} scaled copies, {alarms} alarms")
+    print(f"\n{len(rows)} instances, {copies} scaled copies, "
+          f"{len(noisy) + errors} noisy copies ({errors} input errors), {alarms} alarms")
     return 1 if alarms else 0
 
 

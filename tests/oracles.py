@@ -151,14 +151,51 @@ def exact_diameter_classify(M, coords, images, tol=DEFAULT_TOLERANCE):
     """``edge_ok``, ``offending`` and ``realized`` of each row of vertex
     images by the rule ``symmetry._Instance.classify`` applied before it
     bracketed the diameter, kept as its reference: both thresholds are
-    taken at the exact diameter, here ``one_pass_diameter``."""
+    taken at the exact diameter, here ``one_pass_diameter``. A realized row
+    is edge-preserving and fits within the fit threshold, since an
+    isometry preserves every edge length."""
     points = LabelledPoints.of(coords).take(M.vertices)
     diam = one_pass_diameter(points)
     is_edge, gap, rmsd = classify_values(M, points, images)
     bad = ~is_edge | (gap > tol.length_eps(diam))
     rows, first = np.arange(len(bad)), bad.argmax(axis=1)
+    edge_ok = ~bad[rows, first]
     offending = np.where(bad[rows, first] & ~is_edge[rows, first], first, -1)
-    return ~bad[rows, first], offending, rmsd <= tol.fit_threshold(diam)
+    return edge_ok, offending, edge_ok & (rmsd <= tol.fit_threshold(diam))
+
+
+# noise scales at which the edge test (2e-9 times the diameter) and the fit
+# test (1e-6 times it) of a unit-sized instance disagree
+NOISE_EPS = (1e-9, 1e-8, 1e-7, 1e-6)
+
+
+def noisy_vertices(X, eps, seed):
+    """The vertices of X, each coordinate moved by seeded Gaussian noise of
+    scale eps, as a label-to-point dict."""
+    rng = np.random.default_rng([seed, round(-math.log10(eps))])
+    points = X.vertices.array
+    return dict(zip(X.vertices.labels, points + rng.normal(size=points.shape) * eps))
+
+
+def permutation_images(perms):
+    """Each VertexPermutation as the row of image indices of its sorted
+    labels, read off its word."""
+    perms = list(perms)
+    index = {label: i for i, label in enumerate(sorted(perms[0].word))}
+    return np.array([[index[label] for label in p.word] for p in perms])
+
+
+def is_group(images):
+    """Whether the rows of ``images``, permutations of 0..n-1, form a group,
+    by brute force: the identity is a row, and so is every product of two
+    rows."""
+    images = np.asarray(images, dtype=np.intp)
+    if not len(images):
+        return False
+    members = {row.tobytes() for row in images}
+    products = images[:, images].reshape(-1, images.shape[1])
+    return (np.arange(images.shape[1]).tobytes() in members
+            and all(row.tobytes() in members for row in products))
 
 
 def edges_of_faces(faces):

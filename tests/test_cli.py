@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import edgesym
@@ -225,6 +227,22 @@ class TestVerify:
             code, out, err = run(capsys, "verify", str(path))
         assert (code, err) == (0, "")
         assert json.loads(out)["payload"]["classification"] == "theorem-applies-and-holds"
+
+    def test_noisy_cube_is_no_traceback(self, capsys, tmp_path):
+        # 1e-8 noise moves edge lengths past the length threshold while
+        # every fit stays within the fit threshold: the symmetries that
+        # change an edge length are not realized, so none of them is
+        # counted as realized but not edge-preserving
+        path = tmp_path / "noisy_cube.off"
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+        corners += np.random.default_rng(0).normal(size=(8, 3)) * 1e-8
+        path.write_text("OFF\n8 0 0\n"
+                        + "".join(" ".join(map(repr, p.tolist())) + "\n" for p in corners))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)["payload"]
+        assert payload["classification"] == "theorem-applies-and-holds"
+        assert payload["counts"] == {"total": 48, "edge_preserving": 1, "realized": 1}
 
     def test_tol_scaling_echoed(self, capsys):
         code, out, _ = run(capsys, "verify", "--gallery", "cube", "--tol", "10")

@@ -15,7 +15,6 @@ from edgesym.symmetry import (
     VertexPermutation,
     _automorphisms,
     _flag_colours,
-    _group_closed,
     analyze,
     enumerate_symmetries,
     is_edge_preserving,
@@ -24,7 +23,7 @@ from edgesym.symmetry import (
 from edgesym.verify import (random_inscribed_polytope, random_triangulation, verify_graph_theorem,
                             verify_polytope_theorem)
 from oracles import (brute_force_edge_preserving, brute_force_symmetries, classify_values,
-                     exact_diameter_classify)
+                     exact_diameter_classify, is_group, permutation_images)
 
 
 def words(perms):
@@ -130,23 +129,25 @@ class TestEnumeration:
 
 
 class TestGroupClosed:
+    """The brute-force group oracle that the enumeration tests assert with."""
+
     S4 = [np.array(p) for p in itertools.permutations(range(4))]
 
     def test_symmetric_group(self):
-        assert _group_closed(np.array(self.S4))
+        assert is_group(np.array(self.S4))
 
     def test_identity_and_a_three_cycle(self):
         e, c = np.arange(3), np.array([1, 2, 0])
-        assert not _group_closed(np.array([e, c]))
-        assert _group_closed(np.array([e, c, c[c]]))
+        assert not is_group(np.array([e, c]))
+        assert is_group(np.array([e, c, c[c]]))
 
     def test_cyclic_group_without_identity(self):
         c = np.array([1, 2, 0])
-        assert not _group_closed(np.array([c, c[c]]))
+        assert not is_group(np.array([c, c[c]]))
 
     @pytest.mark.parametrize("drop", [1, 11, 23])
     def test_symmetric_group_minus_one(self, drop):
-        assert not _group_closed(np.array(self.S4[:drop] + self.S4[drop + 1:]))
+        assert not is_group(np.array(self.S4[:drop] + self.S4[drop + 1:]))
 
 
 WHITNEY_CASES = (
@@ -173,7 +174,9 @@ def test_graph_automorphisms_are_map_automorphisms(spec):
         tuple(m[l] for l in M.vertices)
         for m in nx.isomorphism.GraphMatcher(G, G).isomorphisms_iter()
     }
-    assert words(enumerate_symmetries(M)) == oracle
+    perms = enumerate_symmetries(M)
+    assert words(perms) == oracle
+    assert is_group(permutation_images(perms))
 
 
 class TestCoordinates:
@@ -306,6 +309,30 @@ class TestRealize:
         for r in stuck:
             assert realize(M, P.vertices, r.sigma) is None
 
+    def test_fit_within_threshold_but_not_edge_preserving(self):
+        # the unit cube with 1e-8 vertex noise: the fit of every cube
+        # symmetry stays within fit_eps times the diameter, while all but
+        # the identity change an edge length by more than the length
+        # threshold; an isometry preserves every edge length, so none of
+        # those is realized
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+        corners += np.random.default_rng(0).normal(size=(8, 3)) * 1e-8
+        P = build_polytope([(str(i), p) for i, p in enumerate(corners)])
+        M = face_map(P)
+        perms = enumerate_symmetries(M)
+        pts = P.vertices.take(M.vertices)
+        _, _, rmsd = classify_values(M, pts, permutation_images(perms))
+        close = [sigma for sigma, r in zip(perms, rmsd)
+                 if r <= DEFAULT_TOLERANCE.fit_threshold(diameter_of(pts))]
+        assert len(close) == 48
+        loose = [sigma for sigma in close if not is_edge_preserving(M, P.vertices, sigma)]
+        assert len(loose) == 47
+        for sigma in loose:
+            assert realize(M, P.vertices, sigma) is None
+        report = analyze(M, P.vertices)
+        assert report.counts == (48, 1, 1)
+        assert all(r.edge_preserving for r in report.records if r.realized)
+
 
 class TestAnalyze:
     @pytest.mark.parametrize("name,counts", [
@@ -319,7 +346,7 @@ class TestAnalyze:
         P = gallery(name)
         report = analyze(face_map(P), P.vertices, instance_id=name)
         assert report.counts == counts
-        assert report.group_closed
+        assert is_group(permutation_images(r.sigma for r in report.records))
 
     @pytest.mark.parametrize("name", [n for n in gallery_names() if ":" not in n]
                              + ["prism:5", "antiprism:4", "twisted_squares:4:2:10"])

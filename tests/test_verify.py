@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from edgesym import gallery, geom, io, polytope, twisted_squares
-from edgesym.errors import InvalidGalleryParameter, UnknownGalleryName
+from edgesym.errors import EdgesymError, InvalidGalleryParameter, UnknownGalleryName
+from edgesym.gallery import gallery_names
 from edgesym.geom import DEFAULT_TOLERANCE, best_fit_isometry
-from edgesym.planegraph import build_plane_graph
+from edgesym.planegraph import ConvexPlaneGraph, build_plane_graph
 from edgesym.verify import (
     CLASS_APPLIES,
     CLASS_FAILS_FAILS,
@@ -18,6 +19,7 @@ from edgesym.verify import (
     verify_graph_theorem,
     verify_polytope_theorem,
 )
+from oracles import NOISE_EPS, noisy_vertices
 
 
 class TestPolytopeVerdicts:
@@ -153,6 +155,28 @@ class TestScaleInvariance:
         for k in (-500, -250, -30, 30, 250, 500):
             w = verify_graph_theorem(build_plane_graph(scaled_points(G.vertices, k), G.edges))
             assert (w.classification, w.report.counts) == (v.classification, v.report.counts), k
+
+
+@pytest.mark.parametrize("name", [n for n in gallery_names() if ":" not in n])
+def test_gallery_noise_gives_no_alarm_and_no_traceback(name):
+    """Seeded noise between the edge and the fit threshold: an edge length
+    can change by more than the length threshold while a fit stays within
+    the fit threshold. Such a symmetry is not realized, since an isometry
+    preserves every edge length, so each noisy copy ends in a verdict
+    without an alarm, or in a typed input error."""
+    X = gallery(name)
+    for eps in NOISE_EPS:
+        for seed in (0, 1):
+            moved = noisy_vertices(X, eps, seed)
+            try:
+                if isinstance(X, ConvexPlaneGraph):
+                    v = verify_graph_theorem(build_plane_graph(moved, X.edges))
+                else:
+                    v = verify_polytope_theorem(polytope.build_polytope(moved))
+            except EdgesymError:
+                continue
+            assert v.classification != CLASS_VIOLATION, (eps, seed)
+            assert all(r.edge_preserving for r in v.report.records if r.realized), (eps, seed)
 
 
 class TestRandomInscribedPolytope:

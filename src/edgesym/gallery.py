@@ -152,9 +152,7 @@ def twisted_squares(s_out: float, s_in: float, alpha_deg: float,
             f"need finite parameters, got s_out={s_out}, s_in={s_in}, alpha_deg={alpha_deg}"
         )
     if s_in <= 0 or s_out <= s_in:
-        raise InvalidGalleryParameter(
-            f"need 0 < s_in < s_out, got s_in={s_in}, s_out={s_out}"
-        )
+        raise InvalidGalleryParameter(f"need 0 < s_in < s_out, got s_in={s_in}, s_out={s_out}")
     r_out = s_out / _SQ2
     r_in = s_in / _SQ2
     alpha = math.radians(alpha_deg)

@@ -16,8 +16,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg._linalg import _raise_linalgerror_lstsq
-from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
 
 from .errors import (
     CollinearPoints,
@@ -92,9 +90,8 @@ DEFAULT_TOLERANCE = Tolerance()
 def _as_points(points, dims=(2, 3)) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] not in dims:
-        raise DimensionMismatch(
-            f"expected an (n, d) point array with d in {dims}, got shape {arr.shape}"
-        )
+        raise DimensionMismatch(f"expected an (n, d) point array with d in {dims}, "
+                                f"got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteCoordinate("point array has a non-finite coordinate")
     return arr
@@ -232,9 +229,8 @@ class Isometry:
         if lin.ndim != 2 or lin.shape[0] != lin.shape[1] or lin.shape[0] not in (2, 3):
             raise DimensionMismatch(f"linear part must be 2x2 or 3x3, got {lin.shape}")
         if tr.shape != (lin.shape[0],):
-            raise DimensionMismatch(
-                f"translation shape {tr.shape} does not match linear part {lin.shape}"
-            )
+            raise DimensionMismatch(f"translation shape {tr.shape} does not match linear "
+                                    f"part {lin.shape}")
         _check_orthogonal(lin[None])
         lin.setflags(write=False)
         tr.setflags(write=False)
@@ -271,9 +267,8 @@ class Isometry:
         """Apply to one point or to an (n, d) array of points."""
         arr = np.asarray(p, dtype=float)
         if arr.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"point dimension {arr.shape[-1]} does not match isometry dimension {self.dim}"
-            )
+            raise DimensionMismatch(f"point dimension {arr.shape[-1]} does not match isometry "
+                                    f"dimension {self.dim}")
         return arr @ self.linear.T + self.translation
 
     def to_dict(self) -> dict:
@@ -354,13 +349,10 @@ def _areas(Q: np.ndarray) -> np.ndarray:
 
 
 def is_inscribed(polygon, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, CircleFit]:
-    """Concyclicity verdict and best-fit circle of a convex polygon given in
-    boundary order, 2D or 3D coplanar.
-
-    True iff the best-fit circle's worst residual is at most
-    ``fit_eps`` times the polygon diameter, making the verdict
-    scale-invariant. The fit is that of ``_fit_circles`` on a stack of one.
-    """
+    """Concyclicity verdict and best-fit circle (a triangle's circumcircle,
+    else a Gauss-Newton fit) of a convex polygon in boundary order, 2D or 3D
+    coplanar: the fit of ``_fit_circles`` on a stack of one. True iff the
+    worst residual is at most ``fit_eps`` times the polygon diameter."""
     failed, fits = _fit_circles(_as_points(polygon)[None], tol)
     if failed:
         raise failed[1]
@@ -368,12 +360,16 @@ def is_inscribed(polygon, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, Cir
     return bool(ok), CircleFit(center, float(radius), float(max_res), normal)
 
 
-def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """numpy's ``lstsq(A[i], b[i], rcond=None)[0]`` for every i, in one gufunc call."""
-    rcond = np.finfo(float).eps * max(A.shape[1:])
-    with np.errstate(call=_raise_linalgerror_lstsq, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return _lstsq_gufunc(A, b[..., None], rcond, signature="ddd->ddid")[0][..., 0]
+def _solve_normal(A: np.ndarray, b: np.ndarray, guard: bool = True) -> np.ndarray:
+    """Least squares of each system ``A[i] x = b[i]`` of a stack (F, k, 3) by
+    its 3x3 normal equations, in one ``np.linalg.solve``; with ``guard``, 0 for
+    a system whose normal matrix has det <= 1e-13 times its diagonal product."""
+    At = np.swapaxes(A, 1, 2)
+    M, v = At @ A, At @ b[..., None]
+    singular = guard and ~(np.linalg.det(M) > 1e-13 * M.diagonal(axis1=1, axis2=2).prod(axis=1))
+    if np.any(singular):
+        M[singular], v[singular] = np.eye(3), 0.0
+    return np.linalg.solve(M, v)[..., 0]
 
 
 def _fit_circles(S: np.ndarray, tol: Tolerance):
@@ -381,73 +377,103 @@ def _fit_circles(S: np.ndarray, tol: Tolerance):
     whether the worst residual is within ``fit_eps`` times the face
     diameter, center, radius, worst residual and (None in 2D) unit normal.
 
-    Each face gets the arithmetic of a fit of it alone (centred points, a
-    Kasa seed, Gauss-Newton on the geometric distance up to its own last
-    step, 3D faces projected onto their best plane, the center lifted back);
-    each least-squares solve is one LAPACK call for the whole stack.
+    Each face is fitted in its own frame, scaled by 2^-e for the exponent e
+    of its diameter: no product of lengths leaves the float range, and the
+    fit of 2^j times a face is 2^j times its fit, bit for bit. A triangle
+    gets its circumcircle in closed form; a larger face, in the principal
+    axes of its points (of its best plane in 3D), a Kasa seed and
+    Gauss-Newton steps, each one stacked solve of 3x3 normal equations.
     A face fails if it has under 3 vertices, (numerically) zero area, leaves
     its best plane by more than the threshold, or is collinear. Returns
-    (None, fits), or ((i, error), None) if a face fails, i being the stack
-    position of the first that does.
+    (None, fits), or ((i, error), None) for the first face i that fails.
     """
     F, k, d = S.shape
     if k < 3:
         return (0, DegeneratePolygon("a polygon needs at least 3 vertices")), None
-    diam = _diameters(S)
+    # first by the largest coordinate, so that _diameters squares in range
+    e = np.frexp(np.abs(S).max(axis=(1, 2)))[1]
+    diam, shift = np.frexp(_diameters(np.ldexp(S, -e[:, None, None])))
+    S, e = np.ldexp(S, -(e + shift)[:, None, None]), e + shift
     threshold = tol.fit_threshold(diam)
-    centroid = S.mean(axis=1)
+    centroid = S.sum(axis=1) / k  # S.mean(axis=1), without its call overhead
     Q = S - centroid[:, None]
     zero = (diam == 0) | (_areas(Q) <= 1e-12 * diam * diam)
-    normal, offset, xy = None, np.zeros(F), S
+    if k == 3:  # the circumcentre, from the vertex opposite the longest side
+        opposite = Q[:, [1, 2, 0]] - Q[:, [2, 0, 1]]
+        first = (opposite * opposite).sum(axis=2).argmax(axis=1)[:, None]
+        T = np.take_along_axis(Q, ((first + np.arange(3)) % 3)[..., None], axis=1)
+        T = T if d == 3 else np.concatenate([T, np.zeros((F, 3, 1))], axis=2)
+        a, b = T[:, 1] - T[:, 0], T[:, 2] - T[:, 0]
+        n = np.cross(a, b)
+        nn = np.where(zero, 1.0, (n * n).sum(axis=1))[:, None]
+        normal = n / np.sqrt(nn)
+        center = T[:, 0] + ((a * a).sum(axis=1)[:, None] * np.cross(b, n)
+                            + (b * b).sum(axis=1)[:, None] * np.cross(n, a)) / (2.0 * nn)
+        diff = Q - center[:, None, :d]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        center, radius = center[:, :d], dist.sum(axis=1) / 3
+        collinear = False  # past the area test, s1/s0 >= 2 area/(sqrt(3) diam^2) > 1.15e-12
+    else:
+        _, sing, Vt = np.linalg.svd(Q, full_matrices=False)
+        normal = Vt[:, -1]
+        collinear = (sing[:, 0] <= 0) | (sing[:, 1] <= 1e-12 * sing[:, 0])
+    offset = np.zeros(F)
     if d == 3:
-        Vt = np.linalg.svd(Q, full_matrices=False)[2]
-        normal = Vt[:, 2]
         flip = normal[np.arange(F), np.abs(normal).argmax(axis=1)] < 0
         normal = np.where(flip[:, None], -normal, normal)
         offset = np.abs(np.matmul(Q, normal[..., None])[..., 0]).max(axis=1)
-        xy = np.stack([np.matmul(Q, Vt[:, 0, :, None])[..., 0],
-                       np.matmul(Q, Vt[:, 1, :, None])[..., 0]], axis=-1)
-    c0 = xy.mean(axis=1)
-    Q = xy - c0[:, None]
-    sing = np.linalg.svd(Q, compute_uv=False)
-    bad = zero | (offset > threshold) | (sing[:, 0] <= 0) | (sing[:, 1] <= 1e-12 * sing[:, 0])
+    bad = zero | (offset > threshold) | collinear
     if bad.any():
         i = int(bad.argmax())
         if zero[i]:
             error = DegeneratePolygon("polygon has (numerically) zero area")
         elif offset[i] > threshold[i]:
-            error = NonCoplanarPoints(f"points deviate from their best plane by {offset[i]:g} "
-                                      f"(limit {float(threshold[i]):g})")
+            offset, limit = np.ldexp(offset[i], e[i]), np.ldexp(threshold[i], e[i])
+            error = NonCoplanarPoints(f"points deviate from their best plane by {offset:g} "
+                                      f"(limit {limit:g})")
         else:
             error = CollinearPoints("points are collinear: no finite circle fits them")
         return (i, error), None
-    # Algebraic seed: 2*cx*x + 2*cy*y + c = x^2 + y^2 in least squares;
-    # then x holds (cx, cy, r) of each face.
-    A = np.concatenate([2.0 * Q, np.ones((F, k, 1))], axis=2)
-    x = _lstsq(A, (Q * Q).sum(axis=2))
-    x[:, 2] = np.sqrt(np.maximum(x[:, 2] + x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1], 0.0))
-    # Geometric refinement: Gauss-Newton on sum (|p - center| - r)^2 over
-    # the faces still refining.
-    live = np.arange(F)
-    for _ in range(20):
-        diff = Q[live] - x[live, None, :2]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
-        go = ~(dist.min(axis=1) <= 0)  # a point on the center has no direction
-        if not go.all():
-            live, diff, dist = live[go], diff[go], dist[go]
-        if not len(live):
-            break
-        J = np.concatenate([-diff / dist[..., None], np.full(dist.shape + (1,), -1.0)], axis=2)
-        res = dist - x[live, 2, None]
-        step = _lstsq(J, -res)
-        x[live] += step
-        live = live[~(np.abs(step).max(axis=1) <= 1e-15 * np.abs(x[live, 2]))]
-    diff = Q - x[:, None, :2]
-    max_res = np.abs(np.hypot(diff[..., 0], diff[..., 1]) - x[:, 2, None]).max(axis=1)
-    center = x[:, :2] + c0
-    if d == 3:
-        center = centroid + center[:, :1] * Vt[:, 0] + center[:, 1:] * Vt[:, 1]
-    return None, (max_res <= threshold, center, x[:, 2], max_res, normal)
+    if k > 3:
+        xy = np.matmul(Q, np.swapaxes(Vt[:, :2], 1, 2))
+        # Kasa seed: 2*cx*x + 2*cy*y + c = x^2 + y^2 in least squares, then x holds
+        # (cx, cy, r); past the collinear test its matrix is near diag(4 s0^2, 4 s1^2, k)
+        A = np.concatenate([2.0 * xy, np.ones((F, k, 1))], axis=2)
+        x = _solve_normal(A, (xy * xy).sum(axis=2), guard=False)
+        x[:, 2] = np.sqrt(np.maximum(x[:, 2] + x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1], 0.0))
+        # Gauss-Newton on sum (|p - center| - r)^2 over the faces still refining,
+        # J's first two columns centred (the step is the same, decoupled from r);
+        # a step that more than doubles the sum is undone, and its face stops.
+        live, cost, last = np.arange(F), np.full(F, np.inf), x.copy()
+        for i in range(21):
+            diff = xy[live] - x[live, None, :2]
+            dist = np.hypot(diff[..., 0], diff[..., 1])
+            res = x[live, 2, None] - dist
+            sq = (res * res).sum(axis=1)
+            up = sq > 2.0 * cost[live]
+            go = ~(up | (dist.min(axis=1) <= 0))  # a point on the center has no direction
+            if not go.all():
+                x[live[up]] = last[live[up]]
+                live, diff, dist, res, sq = live[go], diff[go], dist[go], res[go], sq[go]
+            if not len(live) or i == 20:
+                break
+            cost[live], last[live] = sq, x[live]
+            u = -diff / dist[..., None]
+            mean = u.sum(axis=1) / k
+            J = np.empty((len(live), k, 3))
+            J[..., :2], J[..., 2] = u - mean[:, None], -1.0
+            step = _solve_normal(J, res)
+            step[:, 2] += (mean * step[:, :2]).sum(axis=1)
+            x[live] += step
+            live = live[~(np.abs(step).max(axis=1) <= 1e-15 * np.abs(x[live, 2]))]
+            if not len(live):
+                break
+        diff = xy - x[:, None, :2]
+        dist, radius = np.hypot(diff[..., 0], diff[..., 1]), x[:, 2]
+        center = x[:, :1] * Vt[:, 0] + x[:, 1:2] * Vt[:, 1]
+    max_res = np.abs(dist - radius[:, None]).max(axis=1)
+    return None, (max_res <= threshold, np.ldexp(centroid + center, e[:, None]),
+                  np.ldexp(radius, e), np.ldexp(max_res, e), normal if d == 3 else None)
 
 
 def _check_side_lengths(lengths) -> list[float]:
@@ -461,9 +487,8 @@ def _check_side_lengths(lengths) -> list[float]:
     lmax = max(L)
     rest = sum(L) - lmax
     if lmax >= rest:
-        raise PolygonInequality(
-            f"longest side {lmax:g} must be shorter than the sum of the others {rest:g}"
-        )
+        raise PolygonInequality(f"longest side {lmax:g} must be shorter than the sum of the "
+                                f"others {rest:g}")
     return L
 
 

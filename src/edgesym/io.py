@@ -132,9 +132,7 @@ def parse_off(text: str, tol: Tolerance | None = None,
         try:
             xyz = [float(v) for v in parts[:3]]
         except ValueError:
-            raise InputFormatError(
-                f"{source}:{lineno}: bad coordinate in {line!r}"
-            ) from None
+            raise InputFormatError(f"{source}:{lineno}: bad coordinate in {line!r}") from None
         points.append((str(i), xyz))
     pos += n_vertices
     off_faces = []
@@ -145,9 +143,7 @@ def parse_off(text: str, tol: Tolerance | None = None,
             k = int(parts[0])
             indices = [int(v) for v in parts[1 : 1 + k]]
         except (ValueError, IndexError):
-            raise InputFormatError(
-                f"{source}:{lineno}: bad face record {line!r}"
-            ) from None
+            raise InputFormatError(f"{source}:{lineno}: bad face record {line!r}") from None
         if k < 3:
             raise InputFormatError(f"{source}:{lineno}: a face needs 3 or more vertices: {line!r}")
         if len(indices) != k:
@@ -205,9 +201,7 @@ def parse_graph_json(text: str, tol: Tolerance | None = None,
     points = []
     for i, rec in enumerate(doc["vertices"]):
         if not isinstance(rec, dict) or not {"id", "x", "y"} <= set(rec):
-            raise InputFormatError(
-                f"{source}: vertex record {i} must carry 'id', 'x', and 'y'"
-            )
+            raise InputFormatError(f"{source}: vertex record {i} must carry 'id', 'x', and 'y'")
         try:
             points.append((str(rec["id"]), (float(rec["x"]), float(rec["y"]))))
         except (TypeError, ValueError):

@@ -446,7 +446,5 @@ def assemble_congruence(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
     direct, _ = best_fit_isometry(src, dst)
     gap = np.linalg.norm(rho.apply(src) - direct.apply(src), axis=1).max()
     if gap > threshold:
-        raise AssertionError(
-            f"assembled isometry deviates from the direct fit by {gap:g}"
-        )
+        raise AssertionError(f"assembled isometry deviates from the direct fit by {gap:g}")
     return rho

@@ -97,9 +97,7 @@ def build_polytope(points) -> IndexedPolytope:
     hull_vertices = set(np.unique(P.hull[0]).tolist())
     interior = sorted(l for i, l in enumerate(vertices.labels) if i not in hull_vertices)
     if interior:
-        raise NonExtremePoint(
-            f"labelled point(s) {interior} are not vertices of the convex hull"
-        )
+        raise NonExtremePoint(f"labelled point(s) {interior} are not vertices of the convex hull")
     return P
 
 

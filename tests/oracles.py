@@ -10,6 +10,7 @@ import itertools
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -429,8 +430,10 @@ def union_find_face_map(P, tol=DEFAULT_TOLERANCE):
 
 
 # The per-face inscribed test as ``geom.is_inscribed`` ran it before it
-# became a caller of the face-stacked kernel, code verbatim, as the
-# reference the kernel must match bit for bit.
+# became a caller of the face-stacked kernel, code verbatim: a Kasa seed and
+# Gauss-Newton steps, each an SVD-based ``np.linalg.lstsq`` solve, in the
+# input's own coordinates. The kernel must match its flags and errors
+# exactly and its fits to rounding.
 
 
 def _per_face_diameter(points) -> float:
@@ -525,6 +528,38 @@ def per_face_inscribed(polygon, tol=DEFAULT_TOLERANCE) -> tuple[bool, CircleFit]
         raise DegeneratePolygon("polygon has (numerically) zero area")
     fit = _fit_circle(P, diam, tol)
     return fit.max_residual <= tol.fit_threshold(diam), fit
+
+
+def exact_circumcentre(triangle) -> np.ndarray:
+    """The circumcentre of a 2D or 3D triangle, exact for its float
+    coordinates and rounded once: the point X with |X - A| = |X - B| =
+    |X - C| in the plane of A, B and C, solved by Cramer's rule in
+    ``fractions.Fraction`` from 2 (B - A).X = |B|^2 - |A|^2,
+    2 (C - A).X = |C|^2 - |A|^2 and, in 3D, n.X = n.A with n = (B - A) x (C - A)."""
+    A, B, C = ([Fraction(float(v)) for v in p] for p in triangle)
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    u, v = [b - a for a, b in zip(A, B)], [c - a for a, c in zip(A, C)]
+    rows = [[2 * x for x in u], [2 * x for x in v]]
+    rhs = [dot(B, B) - dot(A, A), dot(C, C) - dot(A, A)]
+    if len(A) == 3:
+        n = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+        rows.append(n)
+        rhs.append(dot(n, A))
+
+    def det(m):
+        if len(m) == 2:
+            return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+                   for j in range(3))
+
+    D = det(rows)
+    if D == 0:
+        raise ValueError("the triangle is degenerate: it has no circumcentre")
+    return np.array([float(det([row[:j] + [r] + row[j + 1:] for row, r in zip(rows, rhs)]) / D)
+                     for j in range(len(A))])
 
 
 # ``maps.CombinatorialMap.__init__`` as it was before the integer-array

@@ -29,7 +29,6 @@ from edgesym.geom import (
     polygon_area,
     reconstruct_inscribed_polygon,
     _diameters,
-    _lstsq,
     _procrustes,
 )
 from oracles import (
@@ -332,69 +331,6 @@ class TestApplyIsometry:
         with pytest.raises(ValueError) as single:
             Isometry(linear[4], translation[4])
         assert str(stacked.value) == str(single.value)
-
-
-def lstsq_stack(rng, k, scale):
-    """Circle-fit systems (F, k, 3), (F, k) at one coordinate scale: Kasa
-    seeds and Gauss-Newton steps of random, repeated and collinear points,
-    generic, nearly rank-deficient and all-zero matrices."""
-    xy = rng.normal(size=(8, k, 2)) * scale
-    xy[1] = xy[1, :1]  # one point repeated
-    xy[2] = np.linspace(0.0, 1.0, k)[:, None] * xy[2, 0] + xy[2, 1]  # collinear
-    xy[3, 1:] = xy[3, :1]  # all but one point repeated
-    kasa = np.concatenate([2.0 * xy, np.ones((8, k, 1))], axis=2)
-    diff = xy - rng.normal(size=(8, 1, 2)) * scale
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    jac = np.concatenate([-diff / dist[..., None], np.full((8, k, 1), -1.0)], axis=2)
-    generic = rng.normal(size=(4, k, 3)) * scale
-    # nearly rank-deficient: the smallest singular value on both sides of
-    # the cut-off rcond * s_max, rcond = eps * max(k, 3)
-    ratios = [1e-6, 1e-9, 1e-12, 1e-14, math.sqrt(3 * k) * np.finfo(float).eps, 1e-17]
-    U = np.linalg.qr(rng.normal(size=(len(ratios), k, 3)))[0]
-    V = np.linalg.qr(rng.normal(size=(len(ratios), 3, 3)))[0]
-    s = np.array([[1.0, 0.5, r] for r in ratios]) * scale
-    near = np.matmul(U * s[:, None, :], V)
-    A = np.concatenate([kasa, jac, generic, near, np.zeros((2, k, 3))])
-    b = np.concatenate([(xy * xy).sum(axis=2), dist - scale,
-                        rng.normal(size=(6 + len(ratios), k)) * scale])
-    b[-1] = 0.0
-    return A, b
-
-
-def lstsq_outcome(fn):
-    try:
-        return fn()
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-class TestStackedLstsq:
-    """``geom._lstsq`` calls numpy's private lstsq gufunc; it must give every
-    system of a stack the bits ``np.linalg.lstsq`` gives it alone."""
-
-    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
-    @pytest.mark.parametrize("k", range(3, 13))
-    def test_bit_identical_to_the_wrapper(self, k, scale):
-        A, b = lstsq_stack(np.random.default_rng([k, int(math.log10(scale)) + 8]), k, scale)
-        x = _lstsq(A, b)
-        assert x.shape == (len(A), 3) and x.dtype == np.float64
-        for a, y, got in zip(A, b, x):
-            assert got.tobytes() == np.linalg.lstsq(a, y, rcond=None)[0].tobytes()
-
-    def test_empty_stack(self):
-        assert _lstsq(np.zeros((0, 5, 3)), np.zeros((0, 5))).shape == (0, 3)
-
-    @pytest.mark.parametrize("operand", ["A", "b"])
-    def test_nan_like_the_wrapper(self, rng, operand):
-        A, b = lstsq_stack(rng, 5, 1.0)
-        (A if operand == "A" else b)[3, 2, ...] = np.nan
-        want = lstsq_outcome(lambda: np.linalg.lstsq(A[3], b[3], rcond=None)[0])
-        got = lstsq_outcome(lambda: _lstsq(A, b)[3])
-        if isinstance(want, np.ndarray):
-            assert operand == "b" and got.tobytes() == want.tobytes()
-        else:
-            assert operand == "A" and type(got) is tuple
-            assert got == want == (np.linalg.LinAlgError, want[1])
 
 
 class TestFitCircle:

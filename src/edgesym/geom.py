@@ -335,15 +335,19 @@ def polygon_area(polygon) -> float:
     return float(_areas(P - P.mean(axis=1)[:, None])[0])
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.cross`` on the last axis, in its C order (so it sums alike), without its overhead."""
+    up, down = [1, 2, 0], [2, 0, 1]
+    return u.take(up, -1) * v.take(down, -1) - u.take(down, -1) * v.take(up, -1)
+
+
 def _areas(Q: np.ndarray) -> np.ndarray:
     """``polygon_area`` of each polygon of a stack (F, k, d), each moved to
     its centroid."""
     nxt = np.concatenate([Q[:, 1:], Q[:, :1]], axis=1)
     if Q.shape[2] == 2:
         return 0.5 * np.abs((Q[..., 0] * nxt[..., 1] - Q[..., 1] * nxt[..., 0]).sum(axis=1))
-    # np.cross(Q, nxt) and in its C order, so that it sums alike
-    up, down = [1, 2, 0], [2, 0, 1]
-    cross = (Q.take(up, 2) * nxt.take(down, 2) - Q.take(down, 2) * nxt.take(up, 2)).sum(axis=1)
+    cross = _cross(Q, nxt).sum(axis=1)
     # one dot product per face, as np.linalg.norm takes it
     return 0.5 * np.sqrt(np.matmul(cross[:, None, :], cross[:, :, None])[:, 0, 0])
 
@@ -361,9 +365,8 @@ def is_inscribed(polygon, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[bool, Cir
 
 
 def _solve_normal(A: np.ndarray, b: np.ndarray, guard: bool = True) -> np.ndarray:
-    """Least squares of each system ``A[i] x = b[i]`` of a stack (F, k, 3) by
-    its 3x3 normal equations, in one ``np.linalg.solve``; with ``guard``, 0 for
-    a system whose normal matrix has det <= 1e-13 times its diagonal product."""
+    """Least squares of each ``A[i] x = b[i]`` of a stack (F, k, 3) by its 3x3 normal equations, in
+    one ``np.linalg.solve``; with ``guard``, 0 where det <= 1e-13 times the diagonal product."""
     At = np.swapaxes(A, 1, 2)
     M, v = At @ A, At @ b[..., None]
     singular = guard and ~(np.linalg.det(M) > 1e-13 * M.diagonal(axis1=1, axis2=2).prod(axis=1))
@@ -399,19 +402,17 @@ def _fit_circles(S: np.ndarray, tol: Tolerance):
     Q = S - centroid[:, None]
     zero = (diam == 0) | (_areas(Q) <= 1e-12 * diam * diam)
     if k == 3:  # the circumcentre, from the vertex opposite the longest side
-        opposite = Q[:, [1, 2, 0]] - Q[:, [2, 0, 1]]
-        first = (opposite * opposite).sum(axis=2).argmax(axis=1)[:, None]
-        T = np.take_along_axis(Q, ((first + np.arange(3)) % 3)[..., None], axis=1)
+        first = np.linalg.norm(Q[:, [1, 2, 0]] - Q[:, [2, 0, 1]], axis=2).argmax(axis=1)[:, None]
+        T = Q[np.arange(F)[:, None], (first + np.arange(3)) % 3]
         T = T if d == 3 else np.concatenate([T, np.zeros((F, 3, 1))], axis=2)
         a, b = T[:, 1] - T[:, 0], T[:, 2] - T[:, 0]
-        n = np.cross(a, b)
+        n = _cross(a, b)
         nn = np.where(zero, 1.0, (n * n).sum(axis=1))[:, None]
         normal = n / np.sqrt(nn)
-        center = T[:, 0] + ((a * a).sum(axis=1)[:, None] * np.cross(b, n)
-                            + (b * b).sum(axis=1)[:, None] * np.cross(n, a)) / (2.0 * nn)
-        diff = Q - center[:, None, :d]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        center, radius = center[:, :d], dist.sum(axis=1) / 3
+        center = (T[:, 0] + ((a * a).sum(axis=1)[:, None] * _cross(b, n)
+                             + (b * b).sum(axis=1)[:, None] * _cross(n, a)) / (2.0 * nn))[:, :d]
+        dist = np.linalg.norm(Q - center[:, None], axis=2)
+        radius = dist.sum(axis=1) / 3
         collinear = False  # past the area test, s1/s0 >= 2 area/(sqrt(3) diam^2) > 1.15e-12
     else:
         _, sing, Vt = np.linalg.svd(Q, full_matrices=False)
@@ -428,9 +429,8 @@ def _fit_circles(S: np.ndarray, tol: Tolerance):
         if zero[i]:
             error = DegeneratePolygon("polygon has (numerically) zero area")
         elif offset[i] > threshold[i]:
-            offset, limit = np.ldexp(offset[i], e[i]), np.ldexp(threshold[i], e[i])
-            error = NonCoplanarPoints(f"points deviate from their best plane by {offset:g} "
-                                      f"(limit {limit:g})")
+            error = NonCoplanarPoints("points deviate from their best plane by {:g} (limit {:g})"
+                                      .format(*np.ldexp([offset[i], threshold[i]], e[i])))
         else:
             error = CollinearPoints("points are collinear: no finite circle fits them")
         return (i, error), None
@@ -446,30 +446,30 @@ def _fit_circles(S: np.ndarray, tol: Tolerance):
         # a step that more than doubles the sum is undone, and its face stops.
         live, cost, last = np.arange(F), np.full(F, np.inf), x.copy()
         for i in range(21):
-            diff = xy[live] - x[live, None, :2]
+            xl = x[live]
+            diff = xy[live] - xl[:, None, :2]
             dist = np.hypot(diff[..., 0], diff[..., 1])
-            res = x[live, 2, None] - dist
+            res = xl[:, 2, None] - dist
             sq = (res * res).sum(axis=1)
             up = sq > 2.0 * cost[live]
             go = ~(up | (dist.min(axis=1) <= 0))  # a point on the center has no direction
             if not go.all():
                 x[live[up]] = last[live[up]]
-                live, diff, dist, res, sq = live[go], diff[go], dist[go], res[go], sq[go]
+                live, xl, diff, dist, res, sq = (a[go] for a in (live, xl, diff, dist, res, sq))
             if not len(live) or i == 20:
                 break
-            cost[live], last[live] = sq, x[live]
+            cost[live], last[live] = sq, xl
             u = -diff / dist[..., None]
             mean = u.sum(axis=1) / k
             J = np.empty((len(live), k, 3))
             J[..., :2], J[..., 2] = u - mean[:, None], -1.0
             step = _solve_normal(J, res)
             step[:, 2] += (mean * step[:, :2]).sum(axis=1)
-            x[live] += step
-            live = live[~(np.abs(step).max(axis=1) <= 1e-15 * np.abs(x[live, 2]))]
+            x[live] = xl = xl + step
+            live = live[~(np.abs(step).max(axis=1) <= 1e-15 * np.abs(xl[:, 2]))]
             if not len(live):
                 break
-        diff = xy - x[:, None, :2]
-        dist, radius = np.hypot(diff[..., 0], diff[..., 1]), x[:, 2]
+        dist, radius = np.hypot(*(xy - x[:, None, :2]).T).T, x[:, 2]
         center = x[:, :1] * Vt[:, 0] + x[:, 1:2] * Vt[:, 1]
     max_res = np.abs(dist - radius[:, None]).max(axis=1)
     return None, (max_res <= threshold, np.ldexp(centroid + center, e[:, None]),

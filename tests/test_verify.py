@@ -144,6 +144,19 @@ class TestScaleInvariance:
             w = verify_polytope_theorem(polytope.build_polytope(scaled_points(P.vertices, k)))
             assert (w.classification, w.report.counts) == (v.classification, v.report.counts), k
 
+    @pytest.mark.parametrize("spec", ["cube", "box_1_2_3", "frustum", "oblique_parallelepiped",
+                                      "sphere:0"])
+    def test_polytope_where_face_areas_underflow(self, spec):
+        """Below about 2^-256 the squared cross products of a face area
+        underflow; each face is fitted in its own frame, so the verdict holds
+        there too, down to where Qhull or the face merge fail (2^-300 and
+        below raised DegeneratePolygon before)."""
+        P = random_inscribed_polytope(60, 0) if spec == "sphere:0" else gallery(spec)
+        v = verify_polytope_theorem(P)
+        for k in (-300, -400, -500):
+            w = verify_polytope_theorem(polytope.build_polytope(scaled_points(P.vertices, k)))
+            assert (w.classification, w.report.counts) == (v.classification, v.report.counts), k
+
     @pytest.mark.parametrize("spec", [
         "square", "parallelogram", "hex_three_rhombi", "twisted_squares:4:2:10",
         "triangulation:0", "triangulation:1", "triangulation:2",

@@ -12,8 +12,8 @@ The convention for a change that moves report bytes on purpose: run
 ``python tests/test_golden.py`` on the changed tree. It rewrites the stored
 reports and prints, for each case that changed, the paths that moved (the
 labels of the changed lines for a text report), then how many cases each
-path moved in. The change quotes that summary in CHANGES.md, so that a
-reviewer can tell an announced change from a regression.
+path moved in. The change quotes that summary in CHANGES.md, so that an
+announced change can be told from a regression.
 
 The floats depend on the numpy/LAPACK build that computed them; the reports
 were recorded with numpy 2.4.6 on scipy-openblas 0.3.31 (Python 3.11). On

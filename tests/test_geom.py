@@ -30,6 +30,7 @@ from edgesym.geom import (
     reconstruct_inscribed_polygon,
     _diameters,
     _procrustes,
+    _solve_normal,
 )
 from oracles import (
     heron_circumradius,
@@ -332,6 +333,86 @@ class TestApplyIsometry:
             Isometry(linear[4], translation[4])
         assert str(stacked.value) == str(single.value)
 
+
+def lstsq_stack(rng, k, scale):
+    """Circle-fit systems (F, k, 3), (F, k) at one coordinate scale: Kasa
+    seeds and Gauss-Newton steps of random, repeated and collinear points,
+    generic, nearly rank-deficient and all-zero matrices."""
+    xy = rng.normal(size=(8, k, 2)) * scale
+    xy[1] = xy[1, :1]  # one point repeated
+    xy[2] = np.linspace(0.0, 1.0, k)[:, None] * xy[2, 0] + xy[2, 1]  # collinear
+    xy[3, 1:] = xy[3, :1]  # all but one point repeated
+    kasa = np.concatenate([2.0 * xy, np.ones((8, k, 1))], axis=2)
+    diff = xy - rng.normal(size=(8, 1, 2)) * scale
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    jac = np.concatenate([-diff / dist[..., None], np.full((8, k, 1), -1.0)], axis=2)
+    generic = rng.normal(size=(4, k, 3)) * scale
+    # nearly rank-deficient: the smallest singular value on both sides of
+    # the cut-off rcond * s_max, rcond = eps * max(k, 3)
+    ratios = [1e-6, 1e-9, 1e-12, 1e-14, math.sqrt(3 * k) * np.finfo(float).eps, 1e-17]
+    U = np.linalg.qr(rng.normal(size=(len(ratios), k, 3)))[0]
+    V = np.linalg.qr(rng.normal(size=(len(ratios), 3, 3)))[0]
+    s = np.array([[1.0, 0.5, r] for r in ratios]) * scale
+    near = np.matmul(U * s[:, None, :], V)
+    A = np.concatenate([kasa, jac, generic, near, np.zeros((2, k, 3))])
+    b = np.concatenate([(xy * xy).sum(axis=2), dist - scale,
+                        rng.normal(size=(6 + len(ratios), k)) * scale])
+    b[-1] = 0.0
+    return A, b
+
+
+
+def lstsq_outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestStackedLstsq:
+    """``geom._solve_normal`` solves a stack of least-squares systems by their
+    3x3 normal equations in one ``np.linalg.solve``; it must give every system
+    of a stack the bits that a stack of one, as the per-face wrapper
+    ``is_inscribed`` makes, gives it alone, and agree with ``np.linalg.lstsq``
+    on the systems that are well conditioned."""
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_bit_identical_to_the_wrapper(self, k, scale):
+        A, b = lstsq_stack(np.random.default_rng([k, int(math.log10(scale)) + 8]), k, scale)
+        x = _solve_normal(A, b)
+        assert x.shape == (len(A), 3) and x.dtype == np.float64
+        for i, (a, y, got) in enumerate(zip(A, b, x)):
+            assert got.tobytes() == _solve_normal(A[i:i + 1], b[i:i + 1])[0].tobytes()
+            cond = np.linalg.cond(a)
+            if cond < 1e4:
+                want = np.linalg.lstsq(a, y, rcond=None)[0]
+                err = np.abs(got - want).max()
+                assert err <= 100 * np.finfo(float).eps * cond * cond * np.abs(want).max()
+        # the unguarded Kasa seeds of points in general position
+        seeds = [0, 4, 5, 6, 7]
+        x = _solve_normal(A[seeds], b[seeds], guard=False)
+        for i, got in zip(seeds, x):
+            alone = _solve_normal(A[i:i + 1], b[i:i + 1], guard=False)[0]
+            assert got.tobytes() == alone.tobytes()
+
+    def test_empty_stack(self):
+        assert _solve_normal(np.zeros((0, 5, 3)), np.zeros((0, 5))).shape == (0, 3)
+
+    @pytest.mark.parametrize("operand", ["A", "b"])
+    def test_nan_like_the_wrapper(self, rng, operand):
+        A, b = lstsq_stack(rng, 5, 1.0)
+        (A if operand == "A" else b)[3, 2, ...] = np.nan
+        want = lstsq_outcome(lambda: _solve_normal(A[3:4], b[3:4])[0])
+        got = lstsq_outcome(lambda: _solve_normal(A, b))
+        if isinstance(want, np.ndarray):
+            # a NaN right-hand side stays in its own row
+            assert operand == "b" and got[3].tobytes() == want.tobytes()
+            for i, row in enumerate(got):
+                assert row.tobytes() == _solve_normal(A[i:i + 1], b[i:i + 1])[0].tobytes()
+        else:
+            # a NaN matrix makes the stack warn as it warns alone (an error in tier-1)
+            assert operand == "A" and got == want == (RuntimeWarning, want[1])
 
 class TestFitCircle:
     """The best-fit circle that ``is_inscribed`` returns with its verdict."""

@@ -13,6 +13,7 @@ from edgesym.errors import (
     Disconnected,
     EdgeCrossing,
     EdgesymError,
+    InvalidPlaneGraph,
     NonConvexBoundedFace,
     NonSimpleOuterBoundary,
 )
@@ -186,3 +187,79 @@ _BASE = random_triangulation(12, 5)
 def test_random_edge_subsets(keep, seed):
     points, edges = inputs(_BASE, np.random.default_rng(seed))
     assert_same_outcome(points, [e for e, k in zip(edges, keep) if k])
+
+
+# the edge-list forms the build accepts: each outcome is pinned against
+# the per-face build, whatever order or form the edges come in
+
+_HOUSE = [("c", (0.0, 2.0)), ("a", (0.0, 0.0)), ("d", (1.0, 3.0)), ("b", (2.0, 0.0)),
+          ("e", (2.0, 2.0))]
+_HOUSE_EDGES = [("a", "b"), ("b", "e"), ("e", "c"), ("c", "a"), ("c", "d"), ("d", "e"),
+                ("a", "e")]
+
+
+def test_edges_from_a_generator():
+    want = assert_same_outcome(_HOUSE, _HOUSE_EDGES)
+    got = build_plane_graph(_HOUSE, (e for e in _HOUSE_EDGES))
+    assert_same_map(got.map, want.map)
+    assert got.edges == want.edges
+
+
+def test_duplicate_and_reversed_edges():
+    want = assert_same_outcome(_HOUSE, _HOUSE_EDGES)
+    doubled = _HOUSE_EDGES + [e[::-1] for e in _HOUSE_EDGES[::2]] + _HOUSE_EDGES[1::3]
+    assert_same_map(assert_same_outcome(_HOUSE, doubled).map, want.map)
+    assert_same_map(assert_same_outcome(_HOUSE, [e[::-1] for e in _HOUSE_EDGES]).map, want.map)
+
+
+def test_integer_labels():
+    points = [(i, p) for i, (_, p) in enumerate(_HOUSE)]
+    rank = {l: i for i, (l, _) in enumerate(_HOUSE)}
+    edges = [(rank[u], rank[v]) for u, v in _HOUSE_EDGES]
+    G = assert_same_outcome(points, edges)
+    assert isinstance(G, ConvexPlaneGraph) and G.map.vertices == ("0", "1", "2", "3", "4")
+
+
+@pytest.mark.parametrize("turn", [False, True])
+def test_labels_whose_string_order_is_not_numeric(turn):
+    # "10" sorts before "2" and "9": vertex numbering, edge order and the
+    # crossing check's pair order all follow the strings
+    points = [("1", (0.0, 0.0)), ("2", (2.0, 0.0)), ("10", (2.0, 2.0)), ("9", (0.0, 2.0)),
+              ("20", (1.0, 3.0))]
+    points = turned(points) if turn else points
+    edges = [("1", "2"), ("2", "10"), ("10", "9"), ("9", "1"), ("9", "20"), ("20", "10"),
+             ("1", "10")]
+    G = assert_same_outcome(points, edges)
+    assert G.map.vertices == ("1", "10", "2", "20", "9")
+    assert G.edges[0] == ("1", "10")
+    crossing = assert_same_outcome(points + [("3", (0.0, 1.0))], edges + [("3", "2")])
+    assert isinstance(crossing, EdgeCrossing)
+
+
+def test_disconnected_names_the_first_input_label():
+    # two triangles; the first label in input order is neither the smallest
+    # label nor in the component of the smallest label
+    points = [("m", (5.0, 0.0)), ("b", (0.0, 0.0)), ("n", (6.0, 0.0)), ("a", (1.0, 0.0)),
+              ("o", (5.0, 1.0)), ("c", (0.0, 1.0))]
+    edges = [("a", "b"), ("b", "c"), ("c", "a"), ("m", "n"), ("n", "o"), ("o", "m")]
+    want = assert_same_outcome(points, edges)
+    assert isinstance(want, Disconnected)
+    assert str(want) == "vertices ['a', 'b', 'c'] are not connected to 'm'"
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([("a", "b"), ("z", "z")], "edge (z, z) references an unknown vertex label"),
+    ([("a", "b"), ("b", "b"), ("a", "z")], "self-loop at vertex b"),
+    ([("a", "b"), ("a", "z"), ("b", "b")], "edge (a, z) references an unknown vertex label"),
+    ([("z", "a"), ("a", "a")], "edge (z, a) references an unknown vertex label"),
+    ([("a", "b"), ("b", "c"), ("c", "a"), ("c", "c"), ("c", "c")], "self-loop at vertex c"),
+])
+def test_the_first_bad_edge_raises(edges, message):
+    # the per-face build raises a plain ValueError here, so the type and
+    # message are asserted directly
+    points = [("a", (0.0, 0.0)), ("b", (1.0, 0.0)), ("c", (0.0, 1.0))]
+    with pytest.raises(InvalidPlaneGraph) as info:
+        build_plane_graph(points, edges)
+    assert type(info.value) is InvalidPlaneGraph and str(info.value) == message
+    with pytest.raises(InvalidPlaneGraph):
+        build_plane_graph(points, iter(edges))

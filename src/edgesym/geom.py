@@ -330,9 +330,12 @@ class CircleFit:
 
 
 def polygon_area(polygon) -> float:
-    """Unsigned area of a (possibly 3D, planar) polygon given in boundary order."""
+    """Unsigned area of a (possibly 3D, planar) polygon given in boundary order, taken
+    in its own power-of-two frame, so that 2^k times a polygon has 2^2k times its area."""
     P = _as_points(polygon)[None]
-    return float(_areas(P - P.mean(axis=1)[:, None])[0])
+    e = np.frexp(np.abs(P).max(initial=0.0))[1]  # the exponent of the largest |coordinate|
+    P = np.ldexp(P, -e)
+    return float(np.ldexp(_areas(P - P.mean(axis=1)[:, None])[0], 2 * e))
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:

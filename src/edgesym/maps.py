@@ -52,6 +52,17 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(int(count.sum()))
 
 
+def _components(n: int, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's component, for nodes 0..n-1 and
+    the edges f[j] -- g[j]: each edge hooks the larger of its ends' labels
+    under the smaller, then every label jumps to its label's label."""
+    label = np.arange(n)
+    while (label[f] != label[g]).any():
+        np.minimum.at(label, np.maximum(label[f], label[g]), np.minimum(label[f], label[g]))
+        label = label[label]
+    return label
+
+
 def _walk_cycles(group: np.ndarray, tails: np.ndarray, heads: np.ndarray,
                  n_groups: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read the directed edges tails[j] -> heads[j] (ints >= 0) of each
@@ -105,10 +116,10 @@ class CombinatorialMap:
     Faces are stored canonically rotated (smallest label first, orientation
     preserved) and sorted, so two constructions of the same map compare
     equal regardless of input order; ``face_vertices`` holds them as vertex
-    indices, concatenated, of lengths ``face_sizes``, and ``edge_ends`` the
-    ends of ``edges``. Construction raises InvalidMap unless every edge
-    lies in exactly two faces, cycles are simple, and the Euler relation
-    V - E + F = 2 holds.
+    indices, concatenated, face i from ``face_starts[i]`` with
+    ``face_sizes[i]`` entries, and ``edge_ends`` the ends of ``edges``.
+    Construction raises InvalidMap unless every edge lies in exactly two
+    faces, cycles are simple, and the Euler relation V - E + F = 2 holds.
     """
 
     def __init__(self, faces, outer_face: Optional[int] = None):
@@ -159,8 +170,9 @@ class CombinatorialMap:
         # edge j runs from cycles[j] to cycles[step[j]]; the two of one
         # undirected edge are neighbours once sorted by (smaller, larger end)
         cycles, n_v, ends = self.face_vertices, len(self.vertices), np.cumsum(sizes)
+        self.face_starts = ends - sizes
         step = np.arange(1, n_in + 1)
-        step[ends - 1] = ends - sizes
+        step[ends - 1] = self.face_starts
         lo, hi = np.minimum(cycles, cycles[step]), np.maximum(cycles, cycles[step])
         by_edge = np.argsort(lo * n_v + hi, kind="stable")
         first = np.flatnonzero(np.diff((lo * n_v + hi)[by_edge], prepend=-1))
@@ -176,11 +188,7 @@ class CombinatorialMap:
         self.edge_ends = np.stack((lo, hi), axis=1)[by_edge[first]]
         if n_v - len(first) + n_faces != 2:
             raise InvalidMap(f"Euler relation fails: V={n_v} E={len(first)} F={n_faces}")
-        # min-label propagation with pointer jumping over the faces of each edge
-        f, g, label = face[first], face[first + 1], np.arange(n_faces)
-        while (label[f] != label[g]).any():
-            np.minimum.at(label, np.maximum(label[f], label[g]), np.minimum(label[f], label[g]))
-            label = label[label]
+        label = _components(n_faces, face[first], face[first + 1])
         if label.any():
             raise InvalidMap("faces are not connected: no chain of shared edges joins "
                              f"{self.faces[0]} and {self.faces[np.flatnonzero(label)[0]]}")
@@ -203,8 +211,8 @@ class CombinatorialMap:
     @cached_property
     def faces(self) -> tuple[tuple[str, ...], ...]:
         labels = list(map(self.vertices.__getitem__, self.face_vertices.tolist()))
-        ends = np.cumsum(self.face_sizes).tolist()
-        return tuple(tuple(labels[e - n:e]) for e, n in zip(ends, self.face_sizes.tolist()))
+        starts = self.face_starts.tolist()
+        return tuple(tuple(labels[s:s + n]) for s, n in zip(starts, self.face_sizes.tolist()))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -246,8 +254,7 @@ def _face_rows(M: CombinatorialMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """The faces as unoriented cycles of vertex indices (`cycle_key`), in
     sorted order: the rows concatenated, their sizes, and the row of the
     outer face (empty for a polytope)."""
-    sizes, fv = M.face_sizes, M.face_vertices
-    starts = np.cumsum(sizes) - sizes
+    sizes, fv, starts = M.face_sizes, M.face_vertices, M.face_starts
     first, size = np.repeat(starts, sizes), np.repeat(sizes, sizes)
     at = np.arange(len(fv)) - first  # read backwards if the last vertex is the smaller
     rows = fv[first + np.where(fv[first + 1] > fv[first + size - 1], (size - at) % size, at)]

@@ -32,7 +32,8 @@ from .errors import (
 )
 from .geom import (DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, _procrustes,
                    best_fit_isometry)
-from .maps import CombinatorialMap, _ranges, _walk_cycles, combinatorially_equivalent, edge_key
+from .maps import (CombinatorialMap, _components, _ranges, _walk_cycles,
+                   combinatorially_equivalent)
 
 __all__ = [
     "ConvexPlaneGraph",
@@ -109,8 +110,7 @@ def _first_bad_pair(coords: np.ndarray, ea: np.ndarray, eb: np.ndarray,
     return int(ii[k]), int(jj[k])
 
 
-def _check_crossings(coords: np.ndarray, edges: list[tuple[int, int]],
-                     names: list[str], eps: float) -> None:
+def _check_crossings(coords: np.ndarray, edges: np.ndarray, names, eps: float) -> None:
     # Two edges can only cross or touch if their boxes meet once each is
     # padded by the hit radius eps, a length. The boxes are binned on a
     # uniform grid with cells of the median padded box size. A box covering
@@ -122,9 +122,8 @@ def _check_crossings(coords: np.ndarray, edges: list[tuple[int, int]],
     # about _PAIR_BLOCK pairs, then sorted and deduped, so the first bad
     # pair is the first in pair order and memory stays O(E + _PAIR_BLOCK).
     # With one cell, every pair is tested.
-    m = len(edges)
-    ea = np.array([e[0] for e in edges])
-    eb = np.array([e[1] for e in edges])
+    ea, eb = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
+    m = len(ea)
     vec = coords[eb] - coords[ea]
     length = np.linalg.norm(vec, axis=1)
     lo = np.minimum(coords[ea], coords[eb]) - eps
@@ -170,9 +169,7 @@ def _check_crossings(coords: np.ndarray, edges: list[tuple[int, int]],
         code = code[np.diff(code, prepend=-1) != 0]
         pair = _first_bad_pair(coords, ea, eb, vec, length, code // m, code % m, eps)
         if pair is not None:
-            e1, e2 = edges[pair[0]], edges[pair[1]]
-            n1 = (names[e1[0]], names[e1[1]])
-            n2 = (names[e2[0]], names[e2[1]])
+            n1, n2 = ((names[ea[e]], names[eb[e]]) for e in pair)
             raise EdgeCrossing(f"edges {n1} and {n2} intersect away from shared endpoints")
         r0 = r1
 
@@ -180,56 +177,47 @@ def _check_crossings(coords: np.ndarray, edges: list[tuple[int, int]],
 def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> ConvexPlaneGraph:
     """Build and validate a convex plane graph from labelled points and edges.
 
-    Past the edge, connectivity and crossing checks, the build runs on
-    arrays of the 2E darts: one lexsort by (tail, angle, head), vertices
-    numbered in sorted label order, numbers them counterclockwise around
-    each tail, and each face is read from its smallest dart. The outer face
-    is the one walk of negative signed area; every walk must be simple and
-    every bounded one strictly convex. An error names the first bad face in
-    dart order, and its first bad corner.
+    The build runs on integer arrays, vertices numbered in sorted label
+    order. The edges are checked one by one in input order, then deduped
+    as index pairs. The connectivity check and the faces both come from
+    the map's component kernel: the vertex components of the edges, and
+    the orbits of the 2E darts, numbered counterclockwise around each tail
+    by one lexsort by (tail, angle, head), each face read from its smallest
+    dart. The outer face is the one walk of negative signed area; every
+    walk must be simple and every bounded one strictly convex. An error
+    names the first bad face in dart order, and its first bad corner.
     """
     vertices = LabelledPoints(points)
-    labels, index, coords = vertices.labels, vertices.index, vertices.array
+    labels, coords = vertices.labels, vertices.array
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise DimensionMismatch(f"expected (n, 2) coordinates, got shape {coords.shape}")
     if len(coords) < 3:
         raise InvalidPlaneGraph(f"a plane graph needs at least 3 vertices, got {len(coords)}")
 
-    edge_set: set[tuple[str, str]] = set()
+    # edge (lo, hi) of vertices in sorted label order has the code lo * n + hi
+    by_label = np.array(sorted(range(len(labels)), key=labels.__getitem__))
+    names, xy, n = tuple(labels[i] for i in by_label.tolist()), coords[by_label], len(labels)
+    rank, pairs = dict(zip(names, range(n))), []
     for u, v in edges:
         u, v = str(u), str(v)
-        if u not in index or v not in index:
+        if u not in rank or v not in rank:
             raise InvalidPlaneGraph(f"edge ({u}, {v}) references an unknown vertex label")
         if u == v:
             raise InvalidPlaneGraph(f"self-loop at vertex {u}")
-        edge_set.add(edge_key(u, v))
-    if not edge_set:
+        pairs.append((rank[u], rank[v]))
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    code = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    if not len(code):
         raise Disconnected("graph has no edges")
-
-    # connectivity
-    neighbor_lists: dict[str, list[str]] = {l: [] for l in labels}
-    for u, v in edge_set:
-        neighbor_lists[u].append(v)
-        neighbor_lists[v].append(u)
-    stack, reached = [labels[0]], {labels[0]}
-    while stack:
-        for nb in neighbor_lists[stack.pop()]:
-            if nb not in reached:
-                reached.add(nb)
-                stack.append(nb)
-    if len(reached) != len(labels):
-        missing = sorted(set(labels) - reached)
+    ends = np.stack(np.divmod(code, n), axis=1)
+    comp = _components(n, ends[:, 0], ends[:, 1])
+    missing = [names[i] for i in np.flatnonzero(comp != comp[rank[labels[0]]]).tolist()]
+    if missing:
         raise Disconnected(f"vertices {missing} are not connected to {labels[0]!r}")
-
-    eps = tol.length_eps(vertices.diameter)
-    int_edges = [(index[u], index[v]) for u, v in sorted(edge_set)]
-    _check_crossings(coords, int_edges, labels, eps)
+    _check_crossings(xy, ends, names, tol.length_eps(vertices.diameter))
 
     # rotation system: darts 2e and 2e + 1 run both ways along edge e. The
     # angles come from math.atan2: np.arctan2 rounds some inputs differently
-    by_label = np.array(sorted(range(len(labels)), key=labels.__getitem__))
-    names, xy = tuple(labels[i] for i in by_label.tolist()), coords[by_label]
-    ends = np.argsort(by_label)[np.array(int_edges)]
     tail, head = ends.ravel(), ends[:, ::-1].ravel()
     vec = xy[head] - xy[tail]
     angle = np.array(list(map(math.atan2, vec[:, 1].tolist(), vec[:, 0].tolist())))
@@ -241,15 +229,12 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
         v, u1, u2 = names[tail[d]], names[head[d]], names[head[d + 1]]
         raise EdgeCrossing(f"edges ({v},{u1}) and ({v},{u2}) overlap at vertex {v}")
 
-    # faces: each dart takes the smallest dart of its orbit by doubling the
-    # steps taken, and _walk_cycles reads each orbit from that dart
+    # faces: the orbits of succ are the components of the edges d -- succ[d],
+    # and _walk_cycles reads each orbit from its smallest dart
     darts, first = np.arange(len(tail)), np.searchsorted(tail, tail)
     prev = first + (darts - first - 1) % np.bincount(tail)[tail]  # around the tail
     succ = prev[np.argsort(perm)[perm ^ 1]]  # prev of the reverse dart
-    low, jump = darts, succ
-    while not np.array_equal(low, nxt := np.minimum(low, low[jump])):
-        low, jump = nxt, jump[jump]
-    smallest, orbit = np.unique(low, return_inverse=True)
+    smallest, orbit = np.unique(_components(len(darts), darts, succ), return_inverse=True)
     walk, sizes, _ = _walk_cycles(orbit, darts, succ, len(smallest))
     cycles, starts = tail[walk], np.cumsum(sizes) - sizes
 
@@ -292,8 +277,8 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
 
 def _neighbours(M: CombinatorialMap) -> list[list[int]]:
     """For each face of M, the faces across its edges in cycle order."""
-    across, ends = M.flag_face[M.s2[0::2]].tolist(), np.cumsum(M.face_sizes).tolist()
-    return [across[e - n:e] for e, n in zip(ends, M.face_sizes.tolist())]
+    across, starts = M.flag_face[M.s2[0::2]].tolist(), M.face_starts.tolist()
+    return [across[s:s + n] for s, n in zip(starts, M.face_sizes.tolist())]
 
 
 def _absorb(neighbours: list[list[int]], order: list[int]) -> list[int]:
@@ -345,8 +330,8 @@ def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGr
                 f"{M.faces[face]}; such graphs are outside the supported class"
             )
 
-    sizes, fv, across = M.face_sizes, M.face_vertices, M.flag_face[M.s2[0::2]]
-    starts, step = np.cumsum(sizes) - sizes, M.s1[1::2] // 2  # the next position in the face
+    sizes, fv, starts = M.face_sizes, M.face_vertices, M.face_starts
+    across, step = M.flag_face[M.s2[0::2]], M.s1[1::2] // 2  # step: the next position in the face
     pieces = []
     for fis, _ in found:
         at = _ranges(starts[fis], sizes[fis])
@@ -403,8 +388,7 @@ def assemble_congruence(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
     # one fit per stack of faces of one size, negated for the leaves, which
     # fit in sorted label order; H is read by the vertex indices of G's map
     src, dst = G.vertices.take(M.vertices), H.vertices.take(M.vertices)
-    sizes, fv = M.face_sizes, M.face_vertices
-    starts = np.cumsum(sizes) - sizes
+    sizes, fv, starts = M.face_sizes, M.face_vertices, M.face_starts
     group = np.where([bool(ks) for ks in kids], sizes, -sizes)
     group[M.outer_face] = 0
     linear, shift = np.empty((len(sizes), 2, 2)), np.empty((len(sizes), 2))

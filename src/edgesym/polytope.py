@@ -24,7 +24,7 @@ from .errors import (
     NotFullDimensional,
 )
 from .geom import DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, best_fit_isometry
-from .maps import CombinatorialMap, _walk_cycles
+from .maps import CombinatorialMap, _components, _walk_cycles
 
 __all__ = [
     "IndexedPolytope",
@@ -108,13 +108,14 @@ def face_map(P: IndexedPolytope, tol: Tolerance = DEFAULT_TOLERANCE) -> Combinat
     with the neighbour across the edge opposite each triangle vertex. Every
     triangle is turned counterclockwise viewed from outside. Neighbours
     whose normals deviate by less than ``fit_eps`` radians fall into one
-    group, chains of them included. Each group's face cycle walks the
-    triangle edges whose neighbour lies in another group, so it inherits
-    their orientation; all groups are walked at once, on arrays, and the
-    integer cycles go to the map's array core. The result is independent of
-    the input point order. A group without one simple boundary cycle, such
-    as one covering the whole hull when ``fit_eps`` is coarse, raises
-    DegenerateFaceMerge.
+    group, chains of them included: the groups are the components of the
+    merged neighbour pairs, from the map's integer component kernel. Each
+    group's face cycle walks the triangle edges whose neighbour lies in
+    another group, so it inherits their orientation; all groups are walked
+    at once, on arrays, and the integer cycles go to the map's array core.
+    The result is independent of the input point order. A group without
+    one simple boundary cycle, such as one covering the whole hull when
+    ``fit_eps`` is coarse, raises DegenerateFaceMerge.
     """
     labels, pts = P.vertices.labels, P.vertices.array
     simplices, neighbors, equations = P.hull
@@ -130,14 +131,8 @@ def face_map(P: IndexedPolytope, tol: Tolerance = DEFAULT_TOLERANCE) -> Combinat
     diff = normals[:, None, :] - normals[nbrs]
     chord = np.sqrt((diff[..., None, :] @ diff[..., None])[..., 0, 0])
     merged = chord <= 2 * math.sin(min(tol.fit_eps, math.pi) / 2)
-    # each triangle takes the smallest triangle index of its group
-    group = np.arange(len(tris))
-    while True:
-        low = np.minimum(group, np.where(merged, group[nbrs], len(tris)).min(axis=1))
-        low = low[low]
-        if np.array_equal(low, group):
-            break
-        group = low
+    # each triangle takes the smallest triangle of its group
+    group = _components(len(tris), np.nonzero(merged)[0], nbrs[merged])
 
     # the edge opposite vertex k of a counterclockwise (t0, t1, t2) runs
     # from t[k+1] to t[k+2]

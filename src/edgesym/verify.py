@@ -80,8 +80,7 @@ class TheoremVerdict:
 
 def _verdict(M: CombinatorialMap, coords: LabelledPoints, tol: Tolerance,
              instance_id: str) -> TheoremVerdict:
-    points, sizes = coords.take(M.vertices), M.face_sizes.copy()
-    starts = np.cumsum(sizes) - sizes
+    points, sizes, starts = coords.take(M.vertices), M.face_sizes.copy(), M.face_starts
     if M.is_graph:
         sizes[M.outer_face] = 0  # the outer face need not be inscribed
     hyp, worst, failed = True, 0.0, {}
@@ -145,15 +144,12 @@ def random_triangulation(n: int, seed: int,
     rng = np.random.default_rng(seed)
     for _ in range(100):
         pts = rng.random((n, 2))
-        tri = _qhull().Delaunay(pts)
-        edges = set()
-        for simplex in tri.simplices:
-            a, b, c = (int(x) for x in simplex)
-            edges |= {(min(a, b), max(a, b)), (min(b, c), max(b, c)), (min(a, c), max(a, c))}
+        tri = _qhull().Delaunay(pts).simplices
+        sides = np.sort(np.stack((tri, np.roll(tri, -1, axis=1)), axis=2).reshape(-1, 2), axis=1)
         try:
             return build_plane_graph(
                 [(str(i + 1), pts[i]) for i in range(n)],
-                [(str(a + 1), str(b + 1)) for a, b in sorted(edges)],
+                (np.unique(sides, axis=0) + 1).astype(str).tolist(),  # labels from 1
                 tol,
             )
         except EdgesymError:

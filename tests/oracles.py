@@ -9,7 +9,7 @@ forms instead of iterative fits. Keep it that way.
 import itertools
 import math
 import warnings
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -599,6 +599,26 @@ def chain_cycle(pairs):
         cycle.append(cur)
         cur = succ.get(cur)
     return cycle if cur == start and len(cycle) == len(succ) else None
+
+
+def bfs_components(n, f, g):
+    """The smallest node of each node's component, for nodes 0..n-1 and
+    the edges f[j] -- g[j], by a breadth-first search from each node not
+    reached yet, in increasing order."""
+    adjacent = [[] for _ in range(n)]
+    for a, b in zip(f, g):
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    label = [-1] * n
+    for start in range(n):
+        if label[start] < 0:
+            label[start], queue = start, deque([start])
+            while queue:
+                for b in adjacent[queue.popleft()]:
+                    if label[b] < 0:
+                        label[b] = start
+                        queue.append(b)
+    return label
 
 
 class ReferenceMap:

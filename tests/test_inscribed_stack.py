@@ -208,7 +208,8 @@ def stack_instance(polygons):
     coords = LabelledPoints((l, p) for ls, P in zip(labels, polygons) for l, p in zip(ls, P))
     sizes = np.array([len(P) for P in polygons])
     return SimpleNamespace(vertices=coords.labels, face_sizes=sizes, is_graph=False,
-                           face_vertices=np.arange(sizes.sum())), coords
+                           face_vertices=np.arange(sizes.sum()),
+                           face_starts=np.cumsum(sizes) - sizes), coords
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -358,6 +359,33 @@ def test_fit_of_power_of_two_copy_is_exact(spec):
             assert same_bits(got[3], np.ldexp(max_res, j))
             assert (got[4] is None) == (normal is None)
             assert normal is None or same_bits(got[4], normal)
+
+
+@pytest.mark.parametrize("spec", ["cube", "dodecahedron", "hex_prism", "square",
+                                  "hex_three_rhombi", ("sphere", 60, 1),
+                                  ("triangulation", 20, 1)], ids=str)
+def test_area_of_power_of_two_copy_is_exact(spec):
+    """For every k in [-1000, 1000] (step 37) where 2^2k times the area is a
+    normal float, the area of 2^k P is 2^2k times the area of P, bit for
+    bit, for 2D and 3D faces: each polygon is measured in its own frame."""
+    lowest, highest = np.finfo(float).minexp, np.finfo(float).maxexp
+    for S in face_stacks(spec):
+        for P in S:
+            area = polygon_area(P)
+            e = int(np.frexp(area)[1])
+            scales = [k for k in range(-1000, 1001, 37) if lowest <= e + 2 * k <= highest]
+            assert len(scales) > 20
+            for k in scales:
+                assert same_bits(polygon_area(np.ldexp(P, k)), np.ldexp(area, 2 * k))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_area_past_the_squared_range(dim):
+    # the cross product of a 3D face squares lengths twice, and overflowed
+    # to inf at 2^260 and underflowed to 0 at 2^-300 before the frame
+    square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)[:, :dim]
+    for k in (260, 400, -300, -500):
+        assert polygon_area(np.ldexp(square, k)) == 2.0 ** (2 * k)
 
 
 def random_rotation(rng, d):

@@ -8,6 +8,7 @@ from edgesym.errors import EdgesymError, InvalidMap
 from edgesym.gallery import gallery_names
 from edgesym.maps import (
     CombinatorialMap,
+    _components,
     _walk_cycles,
     combinatorially_equivalent,
     cycle_key,
@@ -15,7 +16,7 @@ from edgesym.maps import (
 )
 from edgesym.symmetry import enumerate_symmetries
 from edgesym.verify import random_inscribed_polytope, random_triangulation
-from oracles import ReferenceMap, chain_cycle, propagation_equivalent
+from oracles import ReferenceMap, bfs_components, chain_cycle, propagation_equivalent
 
 CUBE_FACES = [
     ("1", "2", "3", "4"),
@@ -311,3 +312,48 @@ def test_walk_matches_the_per_group_chain(groups):
         assert bad[g] == (want is None)
         if want is not None:
             assert cycles[ends[g] - count[g]:ends[g]].tolist() == want
+
+
+def assert_components(n, f, g):
+    f, g = np.asarray(f, dtype=np.intp), np.asarray(g, dtype=np.intp)
+    assert _components(n, f, g).tolist() == bfs_components(n, f.tolist(), g.tolist())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_components_of_random_graphs(seed):
+    # from no edges to well past the connectivity threshold, with
+    # self-loops and duplicate edges among them
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    m = int(rng.integers(0, 3 * n))
+    f, g = rng.integers(0, n, m), rng.integers(0, n, m)
+    assert_components(n, f, g)
+    assert_components(n, np.concatenate([f, g, f]), np.concatenate([g, f, f]))
+
+
+def test_components_without_edges_self_loops_and_duplicates():
+    assert_components(0, [], [])
+    assert_components(5, [], [])
+    assert_components(5, [0, 3, 3], [0, 3, 3])
+    assert_components(6, [4, 5, 4, 5, 2, 2], [5, 4, 5, 4, 2, 2])
+    assert _components(6, np.array([4, 1, 1]), np.array([5, 3, 3])).tolist() == [0, 1, 2, 1, 4, 4]
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_components_of_a_long_path(direction):
+    # a path numbered in increasing order takes the most rounds of
+    # hooking and jumping, about log2(n)
+    n = 10**4
+    f = np.arange(n - 1)[::direction]
+    assert_components(n, f, f + 1)
+    assert not _components(n, f + 1, f).any()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_components_of_permutation_cycles(seed):
+    # the orbits of a permutation, as the plane-graph build finds its faces:
+    # the edges d -- succ[d]
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 2000))
+    succ = rng.permutation(n)
+    assert_components(n, np.arange(n), succ)

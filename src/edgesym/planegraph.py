@@ -194,7 +194,7 @@ def build_plane_graph(points, edges, tol: Tolerance = DEFAULT_TOLERANCE) -> Conv
     if len(coords) < 3:
         raise InvalidPlaneGraph(f"a plane graph needs at least 3 vertices, got {len(coords)}")
 
-    # edge (lo, hi) of vertices in sorted label order has the code lo * n + hi
+    # edge codes lo * n + hi, vertices in sorted label order, sort as label pairs
     by_label = np.array(sorted(range(len(labels)), key=labels.__getitem__))
     names, xy, n = tuple(labels[i] for i in by_label.tolist()), coords[by_label], len(labels)
     rank, pairs = dict(zip(names, range(n))), []

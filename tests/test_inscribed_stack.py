@@ -381,8 +381,9 @@ def test_area_of_power_of_two_copy_is_exact(spec):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_area_past_the_squared_range(dim):
-    # the cross product of a 3D face squares lengths twice, and overflowed
-    # to inf at 2^260 and underflowed to 0 at 2^-300 before the frame
+    # the norm of a 3D face's cross product squares lengths twice: on the
+    # raw coordinates it overflows to inf at 2^260 and underflows to 0 at
+    # 2^-300
     square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)[:, :dim]
     for k in (260, 400, -300, -500):
         assert polygon_area(np.ldexp(square, k)) == 2.0 ** (2 * k)

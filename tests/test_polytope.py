@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,16 +7,21 @@ import pytest
 from edgesym import gallery
 from edgesym.errors import (
     DegenerateFaceMerge,
+    DimensionMismatch,
     DuplicateLabel,
+    EdgesymError,
     IndexSetMismatch,
     NonExtremePoint,
+    NonFiniteCoordinate,
     NotFullDimensional,
 )
+from edgesym.gallery import gallery_names
 from edgesym.geom import DEFAULT_TOLERANCE, Tolerance
 from edgesym.maps import combinatorially_equivalent, edge_key
 from edgesym.polytope import IndexedPolytope, _qhull, build_polytope, congruent, face_map
 from edgesym.verify import random_inscribed_polytope, verify_polytope_theorem
-from oracles import oracle_cycle_key, square_isometries, union_find_face_map
+from oracles import (oracle_cycle_key, per_call_best_fit_isometry, square_isometries,
+                     union_find_face_map)
 
 CUBE_POINTS = [(str(i), p) for i, p in enumerate(
     [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
@@ -222,6 +228,51 @@ class TestCongruent:
             "3": np.array([2.0, 1.0]), "4": np.array([0.0, 1.0]),
         }})()
         assert congruent(square, rect) is None
+
+    @pytest.mark.parametrize("name", [n for n in gallery_names() if ":" not in n])
+    def test_bits_of_the_per_call_fit(self, name):
+        # a seeded motion, a reflection half the time; the fit reads both
+        # instances in sorted label order
+        X = gallery(name)
+        rng = np.random.default_rng(list(name.encode()))
+        d = X.vertices.array.shape[1]
+        Q, t = np.linalg.qr(rng.normal(size=(d, d)))[0], rng.normal(size=d) * 10
+        moved = SimpleNamespace(vertices={l: Q @ p + t for l, p in X.vertices.items()})
+        iso = congruent(X, moved)
+        order = sorted(X.vertices)
+        ref, _ = per_call_best_fit_isometry(X.vertices.take(order),
+                                            np.array([moved.vertices[l] for l in order]))
+        assert iso.linear.tobytes() == ref.linear.tobytes()
+        assert iso.translation.tobytes() == ref.translation.tobytes()
+
+    def test_2d_against_3d_is_a_typed_error(self):
+        square = gallery("square")
+        lifted = SimpleNamespace(vertices={l: (*p, 0.0) for l, p in square.vertices.items()})
+        for P, Q in ((square, lifted), (lifted, square)):
+            with pytest.raises(EdgesymError) as caught:
+                congruent(P, Q)
+            assert "(4, 2)" in str(caught.value) and "(4, 3)" in str(caught.value)
+
+    @pytest.mark.parametrize("points", [
+        {},
+        {"a": (0.0,), "b": (1.0,), "c": (3.0,)},
+        {"a": 0.0, "b": 1.0},
+        {"a": (0.0, 0, 0, 0), "b": (1.0, 0, 0, 0), "c": (0, 1.0, 0, 0), "d": (0, 0, 1.0, 0),
+         "e": (0, 0, 0, 1.0)},
+    ], ids=["empty", "1d", "scalar", "4d"])
+    def test_points_of_other_dimensions_rejected(self, points):
+        X = SimpleNamespace(vertices=points)
+        with pytest.raises(DimensionMismatch):
+            congruent(X, X)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coordinate_rejected(self, cube, bad):
+        other = dict(cube.vertices)
+        other["0"] = np.array([0.0, bad, 0.0])
+        for P, Q in ((cube, SimpleNamespace(vertices=other)),
+                     (SimpleNamespace(vertices=other), cube)):
+            with pytest.raises(NonFiniteCoordinate):
+                congruent(P, Q)
 
 
 def test_build_and_verify_share_one_hull(monkeypatch):

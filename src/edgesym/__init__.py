@@ -9,7 +9,6 @@ from .geom import (
     Isometry,
     LabelledPoints,
     Tolerance,
-    best_fit_isometry,
     circumradius_from_sides,
     diameter_of,
     is_inscribed,
@@ -61,7 +60,6 @@ __all__ = [
     "VertexPermutation",
     "analyze",
     "assemble_congruence",
-    "best_fit_isometry",
     "boundary_decomposition",
     "build_plane_graph",
     "build_polytope",

@@ -9,10 +9,6 @@ class DimensionMismatch(EdgesymError):
     """Coordinates or operators of incompatible dimensions."""
 
 
-class LengthMismatch(EdgesymError):
-    """Matched point sets of different sizes."""
-
-
 class CollinearPoints(EdgesymError):
     """No finite circle passes near collinear points."""
 

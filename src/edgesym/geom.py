@@ -11,7 +11,6 @@ between threads.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateLabel,
     InvalidTolerance,
-    LengthMismatch,
     NonCoplanarPoints,
     NonFiniteCoordinate,
     PolygonInequality,
@@ -35,18 +33,12 @@ __all__ = [
     "Isometry",
     "LabelledPoints",
     "CircleFit",
-    "UnderdeterminedFitWarning",
-    "best_fit_isometry",
     "circumradius_from_sides",
     "diameter_of",
     "is_inscribed",
     "polygon_area",
     "reconstruct_inscribed_polygon",
 ]
-
-
-class UnderdeterminedFitWarning(UserWarning):
-    """Alignment was requested with fewer points than the ambient dimension."""
 
 
 @dataclass(frozen=True)
@@ -276,31 +268,6 @@ class Isometry:
             "linear": [[float(x) for x in row] for row in self.linear],
             "translation": [float(x) for x in self.translation],
         }
-
-
-def best_fit_isometry(src, dst) -> tuple[Isometry, float]:
-    """Least-squares rigid alignment of matched point sets (Kabsch/Procrustes).
-
-    Minimizes sum |rho(src_i) - dst_i|^2 over all orthogonal maps rho,
-    reflections included. Returns the optimal isometry and the RMS
-    residual: the fit of ``_procrustes`` with one target point set.
-    """
-    A = _as_points(src)
-    B = np.asarray(dst, dtype=float)
-    if A.shape != B.shape:
-        raise LengthMismatch(f"src shape {A.shape} does not match dst shape {B.shape}")
-    _as_points(B)  # finite
-    n, d = A.shape
-    if n == 0:
-        raise LengthMismatch("cannot fit an isometry to empty point sets")
-    if n < d:
-        warnings.warn(
-            f"only {n} point(s) in dimension {d}: alignment is underdetermined",
-            UnderdeterminedFitWarning,
-            stacklevel=2,
-        )
-    linear, translation, rmsd = _procrustes(A, B[None])
-    return Isometry(linear[0], translation[0]), float(rmsd[0])
 
 
 def _procrustes(A: np.ndarray, B: np.ndarray):

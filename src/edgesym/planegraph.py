@@ -30,8 +30,7 @@ from .errors import (
     NonSimpleOuterBoundary,
     NotCombinatoriallyEquivalent,
 )
-from .geom import (DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, _procrustes,
-                   best_fit_isometry)
+from .geom import DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, _procrustes
 from .maps import (CombinatorialMap, _components, _ranges, _walk_cycles,
                    combinatorially_equivalent)
 
@@ -427,8 +426,8 @@ def assemble_congruence(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
     rho = Isometry(linear[order[0]], shift[order[0]])
     if np.linalg.norm(rho.apply(src) - dst, axis=1).max() > threshold:
         return None
-    direct, _ = best_fit_isometry(src, dst)
-    gap = np.linalg.norm(rho.apply(src) - direct.apply(src), axis=1).max()
+    linear, shift, _ = _procrustes(src, dst[None])
+    gap = np.linalg.norm(rho.apply(src) - (src @ linear[0].T + shift[0]), axis=1).max()
     if gap > threshold:
         raise AssertionError(f"assembled isometry deviates from the direct fit by {gap:g}")
     return rho

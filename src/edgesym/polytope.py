@@ -23,7 +23,7 @@ from .errors import (
     NonExtremePoint,
     NotFullDimensional,
 )
-from .geom import DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, best_fit_isometry
+from .geom import DEFAULT_TOLERANCE, Isometry, LabelledPoints, Tolerance, _as_points, _procrustes
 from .maps import CombinatorialMap, _components, _walk_cycles
 
 __all__ = [
@@ -156,8 +156,8 @@ def congruent(P, Q, tol: Tolerance = DEFAULT_TOLERANCE) -> Isometry | None:
 
     Works for any two objects exposing ``vertices`` as a label-to-point
     mapping (a LabelledPoints, or any mapping, read through
-    ``LabelledPoints.of``) of equal dimension and equal label sets. The
-    threshold is ``fit_eps`` times the larger diameter.
+    ``LabelledPoints.of``) of equal dimension, 2 or 3, and equal label
+    sets. The threshold is ``fit_eps`` times the larger diameter.
     """
     va, vb = LabelledPoints.of(P.vertices), LabelledPoints.of(Q.vertices)
     if set(va.index) != set(vb.index):
@@ -165,5 +165,9 @@ def congruent(P, Q, tol: Tolerance = DEFAULT_TOLERANCE) -> Isometry | None:
             f"index sets differ: {sorted(set(va.index) ^ set(vb.index))} not shared"
         )
     order = sorted(va.labels)
-    iso, rmsd = best_fit_isometry(va.take(order), vb.take(order))
-    return iso if rmsd <= tol.fit_threshold(max(va.diameter, vb.diameter)) else None
+    A, B = _as_points(va.take(order)), _as_points(vb.take(order))
+    if A.shape != B.shape:
+        raise DimensionMismatch(f"point sets of shapes {A.shape} and {B.shape} cannot be matched")
+    linear, translation, rmsd = _procrustes(A, B[None])
+    ok = rmsd[0] <= tol.fit_threshold(max(va.diameter, vb.diameter))
+    return Isometry(linear[0], translation[0]) if ok else None

@@ -22,16 +22,15 @@ from edgesym.errors import (
     Disconnected,
     DimensionMismatch,
     EdgeCrossing,
+    EdgesymError,
     FaceNotOnBoundary,
-    LengthMismatch,
     NonConvexBoundedFace,
     NonCoplanarPoints,
     NonSimpleOuterBoundary,
     NotCombinatoriallyEquivalent,
 )
 from edgesym.geom import (DEFAULT_TOLERANCE, CircleFit, Isometry, LabelledPoints, Tolerance,
-                          UnderdeterminedFitWarning, _as_points, _procrustes, _row_blocks,
-                          best_fit_isometry)
+                          _as_points, _procrustes, _row_blocks)
 from edgesym.maps import CombinatorialMap, Edge, combinatorially_equivalent
 from edgesym.planegraph import _MIN_TURN, ConvexPlaneGraph, _check_crossings
 
@@ -976,12 +975,13 @@ def _assemble(g: _Regions, H: ConvexPlaneGraph, region, threshold: float) -> Iso
     G = g.graph
     if len(region) == 1:
         labels = g.vertices(region)
-        iso, rmsd = best_fit_isometry(G.vertices.take(labels), H.vertices.take(labels))
+        iso, rmsd = per_call_best_fit_isometry(G.vertices.take(labels), H.vertices.take(labels))
         return iso if rmsd <= threshold else None
 
     boundary = g.boundary(region)
     face = min((fi for fi in region if g.edges[fi] & boundary), key=g.faces.__getitem__)
-    rho, rmsd = best_fit_isometry(G.vertices.take(g.faces[face]), H.vertices.take(g.faces[face]))
+    rho, rmsd = per_call_best_fit_isometry(G.vertices.take(g.faces[face]),
+                                           H.vertices.take(g.faces[face]))
     if rmsd > threshold:
         return None
 
@@ -1012,7 +1012,7 @@ def recursive_assemble(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
     src, dst = G.vertices.take(order), H.vertices.take(order)
     if np.linalg.norm(rho.apply(src) - dst, axis=1).max() > threshold:
         return None
-    direct, _ = best_fit_isometry(src, dst)
+    direct, _ = per_call_best_fit_isometry(src, dst)
     gap = np.linalg.norm(rho.apply(src) - direct.apply(src), axis=1).max()
     if gap > threshold:
         raise AssertionError(
@@ -1022,10 +1022,19 @@ def recursive_assemble(G: ConvexPlaneGraph, H: ConvexPlaneGraph,
 
 
 # ``geom.best_fit_isometry`` as it was before it became a caller of the
-# stacked ``geom._procrustes``, and the two-sided ``planegraph._assemble``
-# with its ``assemble_congruence`` as they were before assembly decomposed
-# G alone, code verbatim, as the references the new code must match bit for
-# bit and outcome for outcome.
+# stacked ``geom._procrustes`` (it was later removed, and every fit calls
+# ``_procrustes``), with the error and warning that only it raised, and the
+# two-sided ``planegraph._assemble`` with its ``assemble_congruence`` as
+# they were before assembly decomposed G alone, code verbatim, as the
+# references the new code must match bit for bit and outcome for outcome.
+
+
+class LengthMismatch(EdgesymError):
+    """Matched point sets of different sizes."""
+
+
+class UnderdeterminedFitWarning(UserWarning):
+    """Alignment was requested with fewer points than the ambient dimension."""
 
 
 def per_call_best_fit_isometry(src, dst, allow_reflection: bool = True) -> tuple[Isometry, float]:

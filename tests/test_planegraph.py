@@ -16,14 +16,14 @@ from edgesym.errors import (
     NonSimpleOuterBoundary,
     NotCombinatoriallyEquivalent,
 )
-from edgesym.geom import best_fit_isometry, polygon_area
+from edgesym.geom import polygon_area
 from edgesym.planegraph import (
     assemble_congruence,
     boundary_decomposition,
     build_plane_graph,
 )
 from edgesym.verify import random_triangulation
-from oracles import rotation2
+from oracles import per_call_best_fit_isometry, rotation2
 
 
 def two_triangles():
@@ -239,7 +239,7 @@ class TestAssembleCongruence:
         iso = assemble_congruence(G, H)
         assert iso is not None
         assert iso.orientation == -1
-        direct, _ = best_fit_isometry(
+        direct, _ = per_call_best_fit_isometry(
             G.vertices.take(sorted(G.vertices)), H.vertices.take(sorted(H.vertices))
         )
         pts = G.vertices.take(sorted(G.vertices))

@@ -350,12 +350,12 @@ def _fit_circles(S: np.ndarray, tol: Tolerance):
     whether the worst residual is within ``fit_eps`` times the face
     diameter, center, radius, worst residual and (None in 2D) unit normal.
 
-    Each face is fitted in its own frame, scaled by 2^-e for the exponent e
-    of its diameter: no product of lengths leaves the float range, and the
-    fit of 2^j times a face is 2^j times its fit, bit for bit. A triangle
-    gets its circumcircle in closed form; a larger face, in the principal
-    axes of its points (of its best plane in 3D), a Kasa seed and
-    Gauss-Newton steps, each one stacked solve of 3x3 normal equations.
+    Each face is fitted in its own frame, anchored at its first vertex (so
+    no translation cancels) and scaled by 2^-e for the exponent e of its
+    diameter: no product of lengths leaves the float range, and the fit of
+    2^j times a face is 2^j times its fit, bit for bit. A triangle gets its
+    circumcircle in closed form; a larger face, in the principal axes of its
+    points (of its best plane in 3D), a Kasa seed and Gauss-Newton steps.
     A face fails if it has under 3 vertices, (numerically) zero area, leaves
     its best plane by more than the threshold, or is collinear. Returns
     (None, fits), or ((i, error), None) for the first face i that fails.
@@ -363,6 +363,7 @@ def _fit_circles(S: np.ndarray, tol: Tolerance):
     F, k, d = S.shape
     if k < 3:
         return (0, DegeneratePolygon("a polygon needs at least 3 vertices")), None
+    S, anchor = S - S[:, :1], S[:, 0]  # each face in the frame of its first vertex
     # first by the largest coordinate, so that _diameters squares in range
     e = np.frexp(np.abs(S).max(axis=(1, 2)))[1]
     diam, shift = np.frexp(_diameters(np.ldexp(S, -e[:, None, None])))
@@ -442,7 +443,8 @@ def _fit_circles(S: np.ndarray, tol: Tolerance):
         dist, radius = np.hypot(*(xy - x[:, None, :2]).T).T, x[:, 2]
         center = x[:, :1] * Vt[:, 0] + x[:, 1:2] * Vt[:, 1]
     max_res = np.abs(dist - radius[:, None]).max(axis=1)
-    return None, (max_res <= threshold, np.ldexp(centroid + center, e[:, None]),
+    center = centroid + center + np.ldexp(anchor, -e[:, None])
+    return None, (max_res <= threshold, np.ldexp(center, e[:, None]),
                   np.ldexp(radius, e), np.ldexp(max_res, e), normal if d == 3 else None)
 
 

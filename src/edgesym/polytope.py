@@ -67,11 +67,11 @@ class IndexedPolytope:
 
     @cached_property
     def hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``simplices``, ``neighbors`` and ``equations`` of the convex hull,
-        computed once, like the diameter; a Qhull failure is NotFullDimensional."""
+        """``simplices``, ``neighbors`` and ``equations`` of the convex hull of
+        the vertices less the first, computed once; a Qhull failure is NotFullDimensional."""
         qhull = _qhull()
         try:
-            hull = qhull.ConvexHull(self.vertices.array)
+            hull = qhull.ConvexHull(self.vertices.array - self.vertices.array[:1])
         except qhull.QhullError as exc:
             raise NotFullDimensional(f"Qhull failed: {str(exc).splitlines()[0]}") from exc
         return hull.simplices, hull.neighbors, hull.equations

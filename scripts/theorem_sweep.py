@@ -9,12 +9,16 @@ and counts: every threshold is a multiple of the diameter. The gallery
 instances without parameters are also verified as noisy copies, every
 coordinate moved by seeded Gaussian noise of scale 1e-9 to 1e-6 (2 seeds
 each), where an edge length can change by more than the length threshold
-while a fit stays within the fit threshold.
+while a fit stays within the fit threshold. Every instance is also
+verified as translated copies, moved by seeded offsets of order 10^6,
+10^10 and 10^14.
 
-Exits nonzero if any instance or noisy copy raises the falsification
-alarm (hypothesis holds but some edge-preserving symmetry is unrealized),
-or if a scaled copy is classified or counted differently. A noisy copy
-may end in an input error, which is counted.
+Exits nonzero if any instance, noisy or translated copy raises the
+falsification alarm (hypothesis holds but some edge-preserving symmetry
+is unrealized), if a scaled copy is classified or counted differently, or
+if any copy raises an exception that is not an EdgesymError. A noisy or
+translated copy may end in an input error, which is counted: far from the
+origin, close points collapse at the offset's ulp.
 """
 
 import argparse
@@ -47,6 +51,7 @@ POLYTOPES = [
 GRAPHS = ["square", "parallelogram", "hex_three_rhombi", "twisted_squares:4:2:10"]
 POLYTOPE_SCALES = (-200, -30, 30, 200)
 GRAPH_SCALES = (-400, -30, 30, 400)
+OFFSETS = (6, 10, 14)  # translated copies, moved by offsets of order 10^k
 
 
 def main() -> int:
@@ -79,7 +84,7 @@ def main() -> int:
                        random_triangulation(n, seed=args.seed * 1000 + 500 + i)))
 
     fixed = {name for name in gallery_names() if ":" not in name}
-    rows, mismatches, copies, noisy, errors = [], [], 0, [], 0
+    rows, mismatches, copies, noisy, errors, moved, moved_errors = [], [], 0, [], 0, [], 0
     for instances, verify, rebuild, scales in (
         (polytopes, verify_polytope_theorem, lambda X, pts: build_polytope(pts), POLYTOPE_SCALES),
         (graphs, verify_graph_theorem, lambda X, pts: build_plane_graph(pts, X.edges),
@@ -96,6 +101,16 @@ def main() -> int:
                         != (verdict.classification, verdict.report.counts)):
                     mismatches.append(f"{name} x 2^{k}: {copy.classification} "
                                       f"{copy.report.counts}")
+            for k in OFFSETS:
+                rng = np.random.default_rng([args.seed, k])
+                offset = rng.normal(size=X.vertices.array.shape[1]) * 10.0**k
+                try:
+                    copy = verify(rebuild(X, {l: p + offset for l, p in X.vertices.items()}),
+                                  instance_id=name)
+                except EdgesymError:
+                    moved_errors += 1
+                    continue
+                moved.append((f"{name} + offset 1e{k}", copy))
             if name not in fixed:
                 continue
             for eps, seed in itertools.product(NOISE_EPS, (0, 1)):
@@ -112,14 +127,16 @@ def main() -> int:
         c = verdict.report.counts
         print(f"{name:<{width}}  {c[0]:>5} sym  {c[1]:>5} edge-pres  {c[2]:>5} realized  "
               f"{verdict.classification}")
-    for name, verdict in rows + noisy:
+    for name, verdict in rows + noisy + moved:
         if verdict.classification == CLASS_VIOLATION:
             print(f"alarm: {name}")
             alarms += 1
     for line in mismatches:
         print(f"scale mismatch: {line}")
     print(f"\n{len(rows)} instances, {copies} scaled copies, "
-          f"{len(noisy) + errors} noisy copies ({errors} input errors), {alarms} alarms")
+          f"{len(noisy) + errors} noisy copies ({errors} input errors), "
+          f"{len(moved) + moved_errors} translated copies ({moved_errors} input errors), "
+          f"{alarms} alarms")
     return 1 if alarms else 0
 
 

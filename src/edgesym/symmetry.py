@@ -279,7 +279,7 @@ class _Instance:
             edge_ok.append(~bad[rows, first])
             offending.append(np.where(bad[rows, first] & ~is_edge[rows, first], first, -1))
         edge_ok, offending = np.concatenate(edge_ok), np.concatenate(offending)
-        v0 = self.points[0]  # the fits run in the frame of the first vertex
+        v0 = self.points[0]  # fit relative to a vertex, so that no translation cancels
         A = _as_points(self.points - v0)
         fits = [_procrustes(A, A[images[block]]) for block in _row_blocks(len(images), A.size)]
         linear, translation, rmsd = map(np.concatenate, zip(*fits))

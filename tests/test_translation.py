@@ -24,19 +24,26 @@ from edgesym.verify import (
 )
 from oracles import orbit_points
 
-POLYTOPES = {name: (lambda name=name: gallery(name)) for name in [
+POLYTOPES = [
     "cube", "box_1_2_3", "oblique_parallelepiped", "tetrahedron", "octahedron",
     "dodecahedron", "icosahedron", "hex_prism", "frustum", "octa_tetra_glue",
-    "prism:7", "antiprism:5",
-]}
-POLYTOPES.update({f"orbit:{group}": (lambda group=group: build_polytope(
-    orbit_points(group, np.random.default_rng(0)))) for group in ["T", "O", "Ih", "D5h", "D7h"]})
-POLYTOPES.update({f"sphere:{n}": (lambda n=n: random_inscribed_polytope(n, seed=n))
-                  for n in (30, 200)})
-GRAPHS = {name: (lambda name=name: gallery(name))
-          for name in ["square", "parallelogram", "hex_three_rhombi"]}
-GRAPHS.update({f"triangulation:{n}": (lambda n=n: random_triangulation(n, seed=n))
-               for n in (12, 40)})
+    "prism:7", "antiprism:5", "orbit:T", "orbit:O", "orbit:Ih", "orbit:D5h", "orbit:D7h",
+    "sphere:30", "sphere:200",
+]
+GRAPHS = ["square", "parallelogram", "hex_three_rhombi", "triangulation:12", "triangulation:40"]
+
+
+def instance(name):
+    """A gallery instance, an orbit polytope of a point group, or a seeded
+    random sphere or triangulation with n vertices."""
+    kind, _, arg = name.partition(":")
+    if kind == "orbit":
+        return build_polytope(orbit_points(arg, np.random.default_rng(0)))
+    if kind == "sphere":
+        return random_inscribed_polytope(int(arg), seed=int(arg))
+    if kind == "triangulation":
+        return random_triangulation(int(arg), seed=int(arg))
+    return gallery(name)
 
 
 def translated_verdicts(X, verify, rebuild):
@@ -60,12 +67,12 @@ def assert_no_violation(verdicts):
 
 @pytest.mark.parametrize("name", POLYTOPES)
 def test_translated_polytope_raises_no_alarm(name):
-    assert_no_violation(translated_verdicts(POLYTOPES[name](), verify_polytope_theorem,
+    assert_no_violation(translated_verdicts(instance(name), verify_polytope_theorem,
                                             build_polytope))
 
 
 @pytest.mark.parametrize("name", GRAPHS)
 def test_translated_plane_graph_raises_no_alarm(name):
-    X = GRAPHS[name]()
+    X = instance(name)
     assert_no_violation(translated_verdicts(X, verify_graph_theorem,
                                             lambda points: build_plane_graph(points, X.edges)))

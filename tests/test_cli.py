@@ -297,6 +297,18 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout == "[]\n"
 
 
+def test_plane_graph_verify_leaves_scipy_and_numpy_random_unloaded():
+    # a CLI process that builds and verifies a plane graph pays for neither
+    done = fresh("-c", "import json, sys, edgesym.cli\n"
+                       "from edgesym import gallery, verify_graph_theorem\n"
+                       "verdict = verify_graph_theorem(gallery('square')).classification\n"
+                       "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+                       "                or m.split('.')[:2] == ['numpy', 'random'])\n"
+                       "print(json.dumps([verdict, loaded]))")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["theorem-applies-and-holds", []]
+
+
 def test_hulls_load_only_the_qhull_extension(tmp_path):
     # scipy.spatial's package __init__ would load scipy.linalg, scipy.sparse
     # and about 175 scipy modules; a later import of it reuses the extension

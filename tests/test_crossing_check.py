@@ -13,6 +13,8 @@ from edgesym import planegraph
 from edgesym.errors import EdgeCrossing
 from edgesym.geom import DEFAULT_TOLERANCE, diameter_of
 from edgesym.planegraph import build_plane_graph
+from edgesym.verify import random_triangulation
+import oracles
 from oracles import all_pairs_first_crossing
 
 
@@ -208,3 +210,111 @@ class TestAdversarialLayouts:
         new, ref = outcomes(pts, edges)
         assert new == ref
         assert (new is not None) == crossing
+
+
+def kernel_arguments(coords, edges, ii, jj, eps):
+    """The arguments ``_check_crossings`` hands the pair kernel."""
+    coords = np.asarray(coords, dtype=float)
+    ea, eb = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
+    vec = coords[eb] - coords[ea]
+    return (coords, ea, eb, vec, np.linalg.norm(vec, axis=1), np.asarray(ii, dtype=np.intp),
+            np.asarray(jj, dtype=np.intp), eps)
+
+
+def near_touch_layout(rng, eps):
+    """A unit edge and spurs ending eps·(1 ± 1e-9) from it, beside it and
+    beyond either end, plus edges straddling it by as much, all turned by a
+    seeded angle."""
+    pts, edges = [(0.0, 0.0), (1.0, 0.0)], [(0, 1)]
+    for _ in range(int(rng.integers(1, 5))):
+        d = eps * (1 + rng.choice([-1e-9, 1e-9]))
+        kind, u, a = int(rng.integers(4)), rng.uniform(0.05, 0.95), rng.uniform(-1.4, 1.4)
+        if kind == 0:  # beside the edge
+            side = rng.choice([-1.0, 1.0])
+            tip, tail = (u, side * d), (u + rng.uniform(-0.3, 0.3), side * (d + 0.3))
+        elif kind in (1, 2):  # beyond an end
+            end, out = (0.0, 1.0) if kind == 1 else (1.0, -1.0)
+            direction = np.array([-out * np.cos(a), np.sin(a)])
+            tip, tail = np.array([end, 0.0]) - d * direction, np.array([end, 0.0]) - 0.3 * direction
+        else:  # across the edge
+            tip, tail = (u, -d), (u + rng.uniform(-1e-3, 1e-3), eps * (1 + rng.choice([-1e-9, 1e-9])))
+        edges.append((len(pts), len(pts) + 1))
+        pts += [tuple(tip), tuple(tail)]
+    theta = rng.uniform(0, 2 * np.pi)
+    turn = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    return np.array(pts) @ turn.T, edges
+
+
+def kernel_case(seed):
+    """Seeded arguments for the pair kernel, of one of five kinds: integer
+    grid segments (touches, collinear overlaps, shared endpoints); near
+    touches at eps·(1 ± 1e-9); zero-length edges between two labels at one
+    point; either of the first two moved by 10^6..10^12; empty candidate
+    lists and lists where every pair shares an endpoint."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 5
+    if kind == 3:
+        kind = int(rng.integers(0, 2))
+        shift = rng.normal(size=2) * 10.0 ** rng.integers(6, 13)
+    else:
+        shift = np.zeros(2)
+    if kind in (0, 4):
+        n = int(rng.integers(3, 12))
+        pts = rng.integers(0, 7, (n, 2)).astype(float)
+        edges = rng.integers(0, n, (int(rng.integers(1, 20)), 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        eps = DEFAULT_TOLERANCE.length_eps(diameter_of(pts))
+    elif kind == 1:
+        eps = 10.0 ** -rng.integers(3, 10)
+        pts, edges = near_touch_layout(rng, eps)
+    else:
+        # a few points, each given to one to three labels
+        base = rng.random((int(rng.integers(3, 8)), 2))
+        pts = base[rng.integers(0, len(base), 3 * len(base))]
+        edges = rng.integers(0, len(pts), (int(rng.integers(2, 20)), 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        eps = DEFAULT_TOLERANCE.length_eps(diameter_of(base))
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    ii, jj = np.triu_indices(len(edges), 1)
+    if kind == 4:
+        if seed % 2:
+            ii, jj = ii[:0], jj[:0]
+        else:  # a star at vertex 0, each edge either way round: every pair shares it
+            edges = np.column_stack([np.zeros(len(pts) - 1, dtype=np.intp), np.arange(1, len(pts))])
+            flip = rng.random(len(edges)) < 0.5
+            edges[flip] = edges[flip][:, ::-1]
+            ii, jj = np.triu_indices(len(edges), 1)
+    else:
+        keep = rng.permutation(len(ii))[: max(1, int(rng.uniform(0.3, 1) * len(ii)))]
+        ii, jj = ii[keep], jj[keep]
+    return seed % 5, kernel_arguments(np.asarray(pts) + shift, edges, ii, jj, eps)
+
+
+def test_kernel_matches_reference_kernel():
+    # the same first bad pair, or None, as the kernel kept in tests/oracles.py
+    outcome = {kind: set() for kind in range(5)}
+    for seed in range(400):
+        kind, args = kernel_case(seed)
+        new, ref = planegraph._first_bad_pair(*args), oracles._first_bad_pair(*args)
+        assert new == ref, f"seed {seed}"
+        outcome[kind].add(ref is None)
+    assert outcome[4] == {True}
+    assert all(outcome[kind] == {True, False} for kind in range(4)), outcome
+
+
+@pytest.mark.parametrize("n", [300, 1000, 3000])
+def test_candidate_pairs_stay_linear(monkeypatch, n):
+    # all pairs would be about E/2 per edge; the grid hands over at most 24
+    # per edge on these triangulations
+    handed = []
+    kernel = planegraph._first_bad_pair
+
+    def counting(coords, ea, eb, vec, length, ii, jj, eps):
+        handed.append(len(ii))
+        return kernel(coords, ea, eb, vec, length, ii, jj, eps)
+
+    monkeypatch.setattr(planegraph, "_first_bad_pair", counting)
+    for seed in (1, 2, 3):
+        handed.clear()
+        G = random_triangulation(n, seed)
+        assert sum(handed) <= 64 * len(G.edges), (seed, sum(handed), len(G.edges))

@@ -72,30 +72,29 @@ def _first_bad_pair(coords: np.ndarray, ea: np.ndarray, eb: np.ndarray,
                     jj: np.ndarray, eps: float):
     """The first pair (ii[k], jj[k]) of edges without a shared endpoint that
     cross or touch, or None. Edge e runs from coords[ea[e]] along vec[e],
-    of length length[e]."""
-    shared = (
-        (ea[ii] == ea[jj]) | (ea[ii] == eb[jj]) | (eb[ii] == ea[jj]) | (eb[ii] == eb[jj])
-    )
-    ii, jj = ii[~shared], jj[~shared]
-    if len(ii) == 0:
+    of length length[e]. Works on 1-D gathers of the coordinate columns."""
+    a1, b1, a2, b2 = ea[ii], eb[ii], ea[jj], eb[jj]
+    keep = np.flatnonzero((a1 != a2) & (a1 != b2) & (b1 != a2) & (b1 != b2))
+    if len(keep) == 0:
         return None
-    p1, p2 = coords[ea[ii]], coords[eb[ii]]
-    q1, q2 = coords[ea[jj]], coords[eb[jj]]
+    ii, jj, a1, b1, a2, b2 = ii[keep], jj[keep], a1[keep], b1[keep], a2[keep], b2[keep]
+    x, y, sq = coords[:, 0], coords[:, 1], np.maximum(length**2, np.finfo(float).tiny)
 
-    def against(pt, a, e):
-        # side of pt relative to edge e starting at a, and whether pt lies
-        # within eps of the edge
-        ab, seg_len = vec[e], length[e]
-        ap = pt - a
-        side = ab[:, 0] * ap[:, 1] - ab[:, 1] * ap[:, 0]
-        t = np.clip((ap * ab).sum(axis=1) / np.maximum(seg_len**2, np.finfo(float).tiny), 0.0, 1.0)
-        closest = a + t[:, None] * ab
-        return side, np.linalg.norm(pt - closest, axis=1) <= eps
+    def against(e, a, ends):
+        # for each point of ends: its side of edge e, which starts at point
+        # a, and whether it lies within eps of the edge. Each value has the
+        # bits of the row-wise kernel in tests/oracles.py, but t may be -0.0
+        # where its row sum gives +0.0, a sign the squares drop
+        ax, ay, abx, aby, s = x[a], y[a], vec[e, 0], vec[e, 1], sq[e]
+        for p in ends:
+            px, py = x[p], y[p]
+            apx, apy = px - ax, py - ay
+            t = np.clip((apx * abx + apy * aby) / s, 0.0, 1.0)
+            dx, dy = px - (ax + t * abx), py - (ay + t * aby)
+            yield abx * apy - aby * apx, np.sqrt(dx * dx + dy * dy) <= eps
 
-    d1, hit1 = against(p1, q1, jj)
-    d2, hit2 = against(p2, q1, jj)
-    d3, hit3 = against(q1, p1, ii)
-    d4, hit4 = against(q2, p1, ii)
+    (d1, hit1), (d2, hit2) = against(jj, a2, (a1, b1))
+    (d3, hit3), (d4, hit4) = against(ii, a1, (a2, b2))
     tq = eps * length[jj]
     tp = eps * length[ii]
     proper = (

@@ -235,7 +235,7 @@ def near_touch_layout(rng, eps):
         elif kind in (1, 2):  # beyond an end
             end, out = (0.0, 1.0) if kind == 1 else (1.0, -1.0)
             direction = np.array([-out * np.cos(a), np.sin(a)])
-            tip, tail = np.array([end, 0.0]) - d * direction, np.array([end, 0.0]) - 0.3 * direction
+            tip, tail = np.array([end, 0.0]) + d * direction, np.array([end, 0.0]) + 0.3 * direction
         else:  # across the edge
             tip, tail = (u, -d), (u + rng.uniform(-1e-3, 1e-3), eps * (1 + rng.choice([-1e-9, 1e-9])))
         edges.append((len(pts), len(pts) + 1))

@@ -250,6 +250,74 @@ class TestVerify:
         assert doc["tolerance"]["fit_eps"] == pytest.approx(1e-5)
 
 
+TETRA_OFF = "OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+
+
+def square_doc(**changes):
+    """The unit square as a graph-JSON document, with fields replaced."""
+    corners = (("a", 0, 0), ("b", 1, 0), ("c", 1, 1), ("d", 0, 1))
+    doc = {"vertices": [{"id": k, "x": x, "y": y} for k, x, y in corners],
+           "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]}
+    return dict(doc, **changes)
+
+
+def input_error(capsys, path):
+    """The one error line of ``verify path``, which must exit 2 with an
+    empty report and no traceback."""
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+class TestInputFiles:
+    """A malformed input file exits 2 with one error line that names it."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("OFF\n", ": missing the counts line"),
+        ("OFF\n4 0 0\n0 0 0\n1 0 0\n", ": declared 4 vertices but only 2 data lines remain"),
+        ("OFF\n4 0 0\n0 0 0\n1 0\n0 1 0\n0 0 1\n",
+         ":4: vertex line needs 3 coordinates, got '1 0'"),
+        (TETRA_OFF + "3 0 1 x\n", ":7: bad face record '3 0 1 x'"),
+        (TETRA_OFF + "4 0 1 2\n", ":7: face record declares 4 vertices, lists 3"),
+    ], ids=["no-counts", "few-vertex-lines", "short-vertex", "non-integer-face",
+            "short-face"])
+    def test_bad_off(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.off"
+        path.write_text(text)
+        assert input_error(capsys, path) == f"error: {path}{message}\n"
+
+    @pytest.mark.parametrize("doc, message", [
+        (square_doc(vertices=square_doc()["vertices"][:3] + [{"id": "d", "x": "west", "y": 1}]),
+         "vertex record 3 has non-numeric coordinates"),
+        (square_doc(edges=[["a", "b", "c"]]), "edge record 0 must be a pair"),
+        (square_doc(edges=[["a", "z"]]), "edge (a, z) references an unknown vertex label"),
+    ], ids=["non-numeric", "not-a-pair", "unknown-label"])
+    def test_bad_graph_json(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert input_error(capsys, path) == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("text", [
+        write_off(gallery("cube")),
+        "8 0 0\n" + "".join(f"{x} {y} {z}\n" for x, y, z in itertools.product((0, 1), repeat=3)),
+        json.dumps(square_doc()),
+    ], ids=["off-header", "counts-line", "graph-json"])
+    def test_format_sniffed_without_extension(self, capsys, tmp_path, text):
+        path = tmp_path / "instance"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["instance"]["source"] == str(path)
+        assert doc["payload"]["classification"] == "theorem-applies-and-holds"
+
+    def test_unknown_format_without_extension(self, capsys, tmp_path):
+        path = tmp_path / "notes"
+        path.write_text("vertices: a b c\n")
+        assert input_error(capsys, path) == f"error: {path}: cannot determine the input format\n"
+
+
 class TestReconstruct:
     def test_345(self, capsys):
         code, out, _ = run(capsys, "reconstruct", "--sides", "3,4,5")

@@ -17,12 +17,7 @@ from .geom import DEFAULT_TOLERANCE, Tolerance, reconstruct_inscribed_polygon
 from .io import canonical_json, load_instance, write_report
 from .polytope import IndexedPolytope, face_map
 from .symmetry import analyze
-from .verify import (
-    CLASS_VIOLATION,
-    random_inscribed_polytope,
-    verify_graph_theorem,
-    verify_polytope_theorem,
-)
+from .verify import CLASS_VIOLATION, _verdict, random_inscribed_polytope
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -55,29 +50,28 @@ def _instances(args, tol):
         yield path, load_instance(path, tol)
 
 
-def _analyze_one(source, instance, tol):
-    M = face_map(instance, tol) if isinstance(instance, IndexedPolytope) else instance.map
-    return analyze(M, instance.vertices, tol, instance_id=source)
+def _reports(args, payload):
+    """Read, check and report each input in turn, and yield its result:
+    ``payload`` (analyze or the verdict) of its map, taken once."""
+    tol = _tolerance(args)
+    for source, instance in _instances(args, tol):
+        M = face_map(instance, tol) if isinstance(instance, IndexedPolytope) else instance.map
+        result = payload(M, instance.vertices, tol, source)
+        _print_report(source, instance.vertices, result, tol, args.format)
+        yield result
 
 
-def _verify_one(source, instance, tol):
-    if isinstance(instance, IndexedPolytope):
-        return verify_polytope_theorem(instance, tol, instance_id=source)
-    return verify_graph_theorem(instance, tol, instance_id=source)
-
-
-def _print_report(source, instance, payload, tol, fmt) -> None:
+def _print_report(source, vertices, payload, tol, fmt) -> None:
     if fmt == "json":
-        sys.stdout.write(write_report(source, payload, tol, instance.vertices))
+        sys.stdout.write(write_report(source, payload, tol, vertices))
         return
     doc = payload.to_dict()
+    c = doc["counts"]
+    counts = (f"symmetries: {c['total']} total, {c['edge_preserving']} edge-preserving, "
+              f"{c['realized']} realized")
     print(f"instance: {source}")
     if doc["kind"] == "symmetry_report":
-        c = doc["counts"]
-        print(
-            f"symmetries: {c['total']} total, {c['edge_preserving']} edge-preserving, "
-            f"{c['realized']} realized (group closed: {doc['group_closed']})"
-        )
+        print(f"{counts} (group closed: {doc['group_closed']})")
         for rec in doc["records"]:
             tags = []
             if rec["edge_preserving"]:
@@ -91,32 +85,21 @@ def _print_report(source, instance, payload, tol, fmt) -> None:
             f"hypothesis (all faces inscribed): {doc['hypothesis_holds']} "
             f"(worst residual {doc['worst_face_residual']:.3e})"
         )
-        c = doc["counts"]
-        print(
-            f"symmetries: {c['total']} total, {c['edge_preserving']} edge-preserving, "
-            f"{c['realized']} realized"
-        )
+        print(counts)
         for rec in doc["violations"]:
             print(f"  unrealized edge-preserving: {rec['sigma']} rmsd={rec['rmsd']:.3e}")
 
 
 def cmd_analyze(args) -> int:
-    tol = _tolerance(args)
-    for source, instance in _instances(args, tol):
-        report = _analyze_one(source, instance, tol)
-        _print_report(source, instance, report, tol, args.format)
+    for _ in _reports(args, analyze):
+        pass
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerance(args)
-    code = EXIT_OK
-    for source, instance in _instances(args, tol):
-        verdict = _verify_one(source, instance, tol)
-        _print_report(source, instance, verdict, tol, args.format)
-        if verdict.classification == CLASS_VIOLATION:
-            code = EXIT_VIOLATION
-    return code
+    # every input is reported, also after an alarm
+    alarms = [v for v in _reports(args, _verdict) if v.classification == CLASS_VIOLATION]
+    return EXIT_VIOLATION if alarms else EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:

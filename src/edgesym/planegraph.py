@@ -309,32 +309,28 @@ def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGr
     and validated again: each keeps G's points in sorted label order, and
     its map holds its faces of G plus the outer walk around them.
     """
-    M = G.map
-    if M.outer_face is None or not 0 <= face < len(M.faces) or face == M.outer_face:
+    M, outer = G.map, G.map.outer_face
+    if outer is None or not 0 <= face < len(M.faces) or face == outer:
         raise InvalidPlaneGraph(f"face {face} is not a bounded face of the graph")
-    neighbours = _neighbours(M)
-    if M.outer_face not in neighbours[face]:
+    sizes, fv, starts = M.face_sizes, M.face_vertices, M.face_starts
+    own, across = M.flag_face[0::2], M.flag_face[M.s2[0::2]]  # the faces at each edge
+    if outer not in across[starts[face]:starts[face] + sizes[face]]:
         raise FaceNotOnBoundary(f"face {M.faces[face]} shares no edge with the outer boundary")
-    rest = [fi for fi in range(len(neighbours)) if fi not in (face, M.outer_face)]
-    up, head, members = _absorb(neighbours, rest + [face]), {}, {}
-    for fi in reversed(rest):  # the latest face of each component, then its faces
-        head[fi] = fi if up[fi] in (face, -1) else head[up[fi]]
-        members.setdefault(head[fi], []).append(fi)
-    found = sorted((sorted(fis), h) for h, fis in members.items())
-    for fis, h in found:
-        if up[h] != face:
+    dual = ~np.isin(own, (face, outer)) & ~np.isin(across, (face, outer))
+    label, step = _components(len(sizes), own[dual], across[dual]), M.s1[1::2] // 2
+    pieces = []
+    for smallest in np.unique(label).tolist():
+        if smallest in (face, outer):
+            continue
+        fis = np.flatnonzero(label == smallest)
+        at = _ranges(starts[fis], sizes[fis])
+        if face not in across[at]:
             raise DecompositionError(
-                f"decomposition piece {fis} shares no edge with face "
+                f"decomposition piece {fis.tolist()} shares no edge with face "
                 f"{M.faces[face]}; such graphs are outside the supported class"
             )
-
-    sizes, fv, starts = M.face_sizes, M.face_vertices, M.face_starts
-    across, step = M.flag_face[M.s2[0::2]], M.s1[1::2] // 2  # step: the next position in the face
-    pieces = []
-    for fis, _ in found:
-        at = _ranges(starts[fis], sizes[fis])
         # bounded faces run counterclockwise, so the clockwise outer walk
-        # reads each boundary edge backwards
+        # reads each boundary edge backwards; step is the next position in the face
         rim = at[~np.isin(across[at], fis)]
         walk = _walk_cycles(np.zeros(len(rim), dtype=np.intp), fv[step[rim]], fv[rim], 1)[0]
         cmap = CombinatorialMap._from_cycles(M.vertices, np.concatenate([fv[at], walk]),

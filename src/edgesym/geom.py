@@ -448,7 +448,20 @@ def _fit_circles(S: np.ndarray, tol: Tolerance):
                   np.ldexp(radius, e), np.ldexp(max_res, e), normal if d == 3 else None)
 
 
-def _check_side_lengths(lengths) -> list[float]:
+def _solve_circumradius(lengths) -> tuple[float, list[float]]:
+    """Circumradius of the cyclic polygon with the given sides, and the
+    central angle of each side.
+
+    Each side of length l subtends a central angle 2*arcsin(l/2r). With the
+    center inside, the angles sum to 2*pi; with the center outside, the
+    longest side subtends the reflex complement instead, which turns the
+    angle-sum equation into the long-chord form below. Both residual
+    functions change sign exactly once past r = l_max/2, so bisection to
+    1e-14 relative width pins the unique admissible radius. The polygon
+    inequality and the solve run on the sides times 2^-e, e the exponent
+    of l_max: no sum leaves the float range there, and 2^k times the sides
+    give 2^k times the radius, bit for bit.
+    """
     L = [float(x) for x in lengths]
     if len(L) < 3:
         raise PolygonInequality("need at least 3 side lengths")
@@ -456,29 +469,13 @@ def _check_side_lengths(lengths) -> list[float]:
         raise PolygonInequality("side lengths must be finite")
     if min(L) <= 0:
         raise PolygonInequality("side lengths must be strictly positive")
-    lmax = max(L)
+    imax, e = L.index(max(L)), math.frexp(max(L))[1]
+    L = [math.ldexp(l, -e) for l in L]
+    lmax = L[imax]
     rest = sum(L) - lmax
     if lmax >= rest:
-        raise PolygonInequality(f"longest side {lmax:g} must be shorter than the sum of the "
-                                f"others {rest:g}")
-    return L
-
-
-def _solve_circumradius(lengths) -> tuple[float, bool]:
-    """Circumradius of the cyclic polygon with the given sides, plus a flag
-    telling whether the circumcenter lies inside (or on the boundary of)
-    the polygon.
-
-    Each side of length l subtends a central angle 2*arcsin(l/2r). With the
-    center inside, the angles sum to 2*pi; with the center outside, the
-    longest side subtends the reflex complement instead, which turns the
-    angle-sum equation into the long-chord form below. Both residual
-    functions change sign exactly once past r = l_max/2, so bisection to
-    1e-14 relative width pins the unique admissible radius.
-    """
-    L = _check_side_lengths(lengths)
-    lmax = max(L)
-    imax = L.index(lmax)
+        raise PolygonInequality(f"longest side {math.ldexp(lmax, e):g} must be shorter than "
+                                f"the sum of the others {math.ldexp(rest, e):g}")
 
     def term(l: float, r: float) -> float:
         return math.asin(min(1.0, l / (2.0 * r)))
@@ -512,7 +509,14 @@ def _solve_circumradius(lengths) -> tuple[float, bool]:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), inside
+    r = 0.5 * (lo + hi)
+    thetas = [2.0 * term(l, r) for l in L]
+    if not inside:
+        thetas[imax] = 2.0 * math.pi - thetas[imax]
+    try:
+        return math.ldexp(r, e), thetas
+    except OverflowError:
+        raise DegeneratePolygon(f"circumradius {r!r} * 2**{e} exceeds the float range") from None
 
 
 def circumradius_from_sides(lengths) -> float:
@@ -528,11 +532,6 @@ def reconstruct_inscribed_polygon(lengths) -> np.ndarray:
     ``circumradius_from_sides(lengths)`` centered at the origin, first
     vertex at (r, 0).
     """
-    r, inside = _solve_circumradius(lengths)
-    L = [float(x) for x in lengths]
-    imax = L.index(max(L))
-    thetas = [2.0 * math.asin(min(1.0, l / (2.0 * r))) for l in L]
-    if not inside:
-        thetas[imax] = 2.0 * math.pi - thetas[imax]
+    r, thetas = _solve_circumradius(lengths)
     angles = np.concatenate([[0.0], np.cumsum(thetas[:-1])])
     return np.column_stack([r * np.cos(angles), r * np.sin(angles)])

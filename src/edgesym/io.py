@@ -191,7 +191,7 @@ def parse_graph_json(text: str, tol: Tolerance | None = None,
     tol = tol or DEFAULT_TOLERANCE
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also integers past 4300 digits
         raise InputFormatError(f"{source}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise InputFormatError(f"{source}: expected an object with 'vertices' and 'edges'")
@@ -204,7 +204,7 @@ def parse_graph_json(text: str, tol: Tolerance | None = None,
             raise InputFormatError(f"{source}: vertex record {i} must carry 'id', 'x', and 'y'")
         try:
             points.append((str(rec["id"]), (float(rec["x"]), float(rec["y"]))))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: integers past 1e308
             raise InputFormatError(
                 f"{source}: vertex record {i} has non-numeric coordinates"
             ) from None
@@ -233,8 +233,11 @@ def write_graph_json(G: ConvexPlaneGraph) -> str:
 def load_instance(path: str, tol: Tolerance | None = None):
     """Read a polytope (.off) or plane graph (.json) from disk, sniffing
     the format when the extension is ambiguous."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # read() decodes the whole file at once
+        raise InputFormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
     lower = path.lower()
     if lower.endswith(".off"):
         return parse_off(text, tol, source=path)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -312,6 +313,23 @@ class TestInputFiles:
         assert doc["instance"]["source"] == str(path)
         assert doc["payload"]["classification"] == "theorem-applies-and-holds"
 
+    def test_bytes_that_are_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin.off"
+        path.write_bytes(TETRA_OFF.encode()[:-1] + b"\xff\n")
+        assert input_error(capsys, path) == f"error: {path}: byte 33 is not UTF-8 text\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 200_000, "invalid JSON: maximum recursion depth exceeded"),
+        (json.dumps(square_doc(vertices=[{"id": "a", "x": 10**400, "y": 0}])),
+         "vertex record 0 has non-numeric coordinates"),
+        ('{"vertices": [{"id": "a", "x": ' + "1" * 5000 + ', "y": 0}], "edges": []}',
+         "invalid JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["deep", "past-the-float-range", "past-4300-digits"])
+    def test_json_that_python_cannot_read(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert input_error(capsys, path).startswith(f"error: {path}: {message}")
+
     def test_unknown_format_without_extension(self, capsys, tmp_path):
         path = tmp_path / "notes"
         path.write_text("vertices: a b c\n")
@@ -348,6 +366,27 @@ class TestReconstruct:
     def test_bad_sides_string(self, capsys):
         code, _, err = run(capsys, "reconstruct", "--sides", "3,four,5")
         assert code == 2
+
+    def test_sides_near_the_float_maximum(self, capsys):
+        # the sums of these sides overflow; the solve scales them first
+        for sides, radius in (("1.7e308,1.7e308,1.7e308", 1.7e308 / math.sqrt(3)),
+                              ("1e308,6e307,6e307", 5.4272042023997519e+307)):
+            code, out, err = run(capsys, "reconstruct", "--sides", sides)
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            assert doc["circumradius"] == pytest.approx(radius, rel=1e-14)
+            assert np.isfinite(doc["vertices"]).all()
+
+    @pytest.mark.parametrize("sides, message", [
+        ("1.79e308,1e307,1e307",
+         "longest side 1.79e+308 must be shorter than the sum of the others 2e+307"),
+        (f"1.7e308,{8.5e307 * (1 + 2**-40)!r},{8.5e307 * (1 + 2**-40)!r}",
+         "circumradius "),
+    ], ids=["no-polygon", "radius-overflows"])
+    def test_sides_past_the_float_range(self, capsys, sides, message):
+        code, out, err = run(capsys, "reconstruct", "--sides", sides)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("sides", ["1,1,inf", "1,1,nan"])
     def test_non_finite_side_is_input_error(self, capsys, sides):

@@ -533,6 +533,34 @@ class TestCircumradius:
 
 
 class TestReconstruction:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_power_of_two_copy_is_exact(self, seed):
+        # the solve runs in the power-of-two frame of the longest side, so
+        # 2^k times the sides give 2^k times the polygon, bit for bit
+        rng = np.random.default_rng(seed)
+        L = side_lengths(random_inscribed_polygon(rng, 3 + seed, force_outside=seed % 2 == 1))
+        want = reconstruct_inscribed_polygon(L)
+        for k in range(-900, 901):
+            got = reconstruct_inscribed_polygon(np.ldexp(L, k))
+            assert np.array_equal(got, np.ldexp(want, k)), k
+
+    def test_sides_near_the_float_maximum(self):
+        # sums of these sides overflow, so the check and the solve scale first
+        poly = reconstruct_inscribed_polygon([1.7e308] * 3)
+        assert poly[0, 0] == pytest.approx(1.7e308 / math.sqrt(3), rel=1e-14)  # bisection width
+        assert np.isfinite(poly).all()
+        assert np.allclose(side_lengths(np.ldexp(poly, -1024)), np.ldexp(1.7e308, -1024),
+                           rtol=1e-12)
+        assert circumradius_from_sides([1e308, 6e307, 6e307]) == pytest.approx(
+            heron_circumradius(1.0, 0.6, 0.6) * 1e308, rel=1e-12)
+        with pytest.raises(PolygonInequality, match="longest side 1.79e"):
+            circumradius_from_sides([1.79e308, 1e307, 1e307])
+
+    def test_radius_past_the_float_range(self):
+        leg = 8.5e307 * (1 + 2.0**-40)  # a flat triangle of radius about 3e313
+        with pytest.raises(DegeneratePolygon, match="exceeds the float range"):
+            reconstruct_inscribed_polygon([1.7e308, leg, leg])
+
     def test_unit_square(self):
         poly = reconstruct_inscribed_polygon([1, 1, 1, 1])
         r = math.sqrt(2) / 2

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesym import gallery
-from edgesym.errors import InputFormatError, NotFullDimensional
+from edgesym.errors import EdgesymError, InputFormatError, NotFullDimensional
 from edgesym.geom import DEFAULT_TOLERANCE
 from edgesym.io import (
     OffFaceMismatchWarning,
@@ -123,6 +127,41 @@ class TestGraphJson:
     def test_invalid_json(self):
         with pytest.raises(InputFormatError, match="invalid JSON"):
             parse_graph_json("{nope")
+
+
+NUMBERS = st.integers(-3, 3) | st.floats(-4, 4)
+ODD_ATOMS = st.sampled_from([10**400, -10**400, 1e308, 5e-324, "nan", "x", None, [1.0], [[0, 1]]])
+
+
+@st.composite
+def graph_documents(draw):
+    """Graph-JSON documents of 3 to 6 vertices with up to two faults: a
+    missing key, an odd atom for a vertex field, or an odd edge record.
+    Unfaulted, they still fail in the build most of the time (self-loops,
+    crossings, disconnected vertices), and some build."""
+    labels = "abcdef"[:draw(st.integers(3, 6))]
+    vertices = [{"id": k, "x": draw(NUMBERS), "y": draw(NUMBERS)} for k in labels]
+    pair = st.lists(st.sampled_from(labels), min_size=2, max_size=2)
+    edges = draw(st.lists(pair, min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        rec, key = draw(st.sampled_from(vertices)), draw(st.sampled_from(["id", "x", "y"]))
+        fault = draw(st.integers(0, 2))
+        if fault == 0:
+            rec.pop(key, None)
+        elif fault == 1:
+            rec[key] = draw(ODD_ATOMS)
+        else:
+            edges[draw(st.integers(0, len(edges) - 1))] = draw(ODD_ATOMS | st.lists(pair, max_size=3))
+    return {"vertices": vertices, "edges": edges}
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_documents())
+def test_graph_json_raises_only_input_errors(doc):
+    try:
+        parse_graph_json(json.dumps(doc))
+    except EdgesymError:
+        pass
 
 
 class TestCanonicalJson:

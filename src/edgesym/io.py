@@ -236,7 +236,7 @@ def load_instance(path: str, tol: Tolerance | None = None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except UnicodeDecodeError as exc:  # read() decodes the whole file at once
+    except UnicodeDecodeError as exc:  # read() decodes the whole file: start is a file offset
         raise InputFormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
     lower = path.lower()
     if lower.endswith(".off"):

@@ -314,10 +314,11 @@ def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGr
         raise InvalidPlaneGraph(f"face {face} is not a bounded face of the graph")
     sizes, fv, starts = M.face_sizes, M.face_vertices, M.face_starts
     own, across = M.flag_face[0::2], M.flag_face[M.s2[0::2]]  # the faces at each edge
+    step = M.s1[1::2] // 2  # the next position in the face
     if outer not in across[starts[face]:starts[face] + sizes[face]]:
         raise FaceNotOnBoundary(f"face {M.faces[face]} shares no edge with the outer boundary")
     dual = ~np.isin(own, (face, outer)) & ~np.isin(across, (face, outer))
-    label, step = _components(len(sizes), own[dual], across[dual]), M.s1[1::2] // 2
+    label = _components(len(sizes), own[dual], across[dual])
     pieces = []
     for smallest in np.unique(label).tolist():
         if smallest in (face, outer):
@@ -330,7 +331,7 @@ def boundary_decomposition(G: ConvexPlaneGraph, face: int) -> list[ConvexPlaneGr
                 f"{M.faces[face]}; such graphs are outside the supported class"
             )
         # bounded faces run counterclockwise, so the clockwise outer walk
-        # reads each boundary edge backwards; step is the next position in the face
+        # reads each boundary edge backwards
         rim = at[~np.isin(across[at], fis)]
         walk = _walk_cycles(np.zeros(len(rim), dtype=np.intp), fv[step[rim]], fv[rim], 1)[0]
         cmap = CombinatorialMap._from_cycles(M.vertices, np.concatenate([fv[at], walk]),
